@@ -2,11 +2,10 @@
 //!
 //! `calibrate/spin` is a fixed scalar workload the criterion shim uses to
 //! normalize a committed baseline across machines of different speeds.
-//! `exec_skew` pits the adaptive steal grain against the legacy
-//! one-chunk-per-thread split on a quadratic-cost workload (the shape of
-//! condensed-matrix bands); the remaining groups cover the sharded hot
-//! paths (distance-matrix bands, CLARA whole-dataset assignment, the
-//! pairwise dependency sweep).
+//! `exec_skew` runs the adaptive steal grain on a quadratic-cost workload
+//! (the shape of condensed-matrix bands); the remaining groups cover the
+//! sharded hot paths (distance-matrix bands, CLARA whole-dataset
+//! assignment, the pairwise dependency sweep).
 //!
 //! Refresh the committed baseline with the same thread budget the CI
 //! gate uses (the budget changes what the parallel benches measure):
@@ -38,22 +37,14 @@ fn calibrate(c: &mut Criterion) {
 }
 
 fn bench_skew(c: &mut Criterion) {
-    // Item i costs O(i²): under a static n/threads split the last chunk
-    // carries ~1 − ((t−1)/t)³ of the total work (≈ 33% at t = 8), so the
-    // adaptive steal grain wins whenever more than one core is available.
-    let n = 512usize;
-    let cost: Vec<usize> = (0..n).map(|i| i * i / 4 + 500).collect();
-    let threads = blaeu_exec::thread_budget();
+    // Item i costs O(i²): a static n/threads split would leave the last
+    // chunk ~1 − ((t−1)/t)³ of the total work (≈ 33% at t = 8); the
+    // adaptive steal grain keeps every core busy instead.
+    let cost: Vec<usize> = (0..512).map(|i| i * i / 4 + 500).collect();
     let mut group = c.benchmark_group("exec_skew");
     group.sample_size(30);
     group.bench_function("par_map/adaptive", |b| {
-        b.iter(|| blaeu_exec::par_map_grained(&cost, 0, 0, |_, &units| spin(units)))
-    });
-    group.bench_function("par_map/static", |b| {
-        b.iter(|| {
-            // The pre-work-stealing layout: one contiguous chunk per worker.
-            blaeu_exec::par_map_grained(&cost, 0, n.div_ceil(threads), |_, &units| spin(units))
-        })
+        b.iter(|| blaeu_exec::par_map(&cost, 0, |_, &units| spin(units)))
     });
     group.finish();
 }

@@ -4,9 +4,8 @@
 //! `replay/journal_append` is the per-command journaling overhead on the
 //! drain path (`FsyncPolicy::Never`, the default); `replay/recover` is a
 //! full restart recovery of one recorded session (read + verify + replay
-//! of every command); `replay/wire` replays a recorded two-session
-//! corpus over live loopback HTTP, digest-checking every response — the
-//! load harness (`replay_load`) in miniature.
+//! of every command). Wire-path replay is measured end to end by
+//! `benchmark/` (wirebench `durable_nav`).
 //!
 //! Refresh the committed baseline with the same thread budget the CI
 //! gate uses:
@@ -16,9 +15,7 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use blaeu_bench::replay::{load_corpus, replay_corpus};
 use blaeu_core::{Command, ExplorerConfig};
-use blaeu_net::{NetConfig, NetServer};
 use blaeu_server::{
     AsyncSessionServer, FsyncPolicy, RecordedOutcome, ServerConfig, SessionJournal,
 };
@@ -57,10 +54,10 @@ fn script() -> Vec<Command> {
     ]
 }
 
-/// Records `sessions` journaled wire-shape sessions into `dir` (the
-/// sessions are deliberately left open — closing would delete the
-/// files) and returns when every append has landed.
-fn record_corpus(dir: &Path, table: &Arc<Table>, sessions: usize) {
+/// Records one journaled wire-shape session into `dir` (deliberately
+/// left open — closing would delete the file) and returns when every
+/// append has landed.
+fn record_session(dir: &Path, table: &Arc<Table>) {
     let engine = AsyncSessionServer::try_new(ServerConfig {
         threads: 0,
         queue_capacity: 64,
@@ -69,17 +66,15 @@ fn record_corpus(dir: &Path, table: &Arc<Table>, sessions: usize) {
         ..ServerConfig::default()
     })
     .expect("journal dir is writable");
-    for _ in 0..sessions {
-        let id = engine
-            .open_named_session("hollywood", Arc::clone(table), ExplorerConfig::default())
-            .expect("session opens");
-        for cmd in script() {
-            engine
-                .submit(id, cmd)
-                .expect("queue fits the script")
-                .join()
-                .expect("script commands succeed");
-        }
+    let id = engine
+        .open_named_session("hollywood", Arc::clone(table), ExplorerConfig::default())
+        .expect("session opens");
+    for cmd in script() {
+        engine
+            .submit(id, cmd)
+            .expect("queue fits the script")
+            .join()
+            .expect("script commands succeed");
     }
 }
 
@@ -106,7 +101,7 @@ fn bench_replay(c: &mut Criterion) {
     // Restart recovery of one recorded session: scan, verify framing,
     // re-open over the table, re-execute all 5 commands digest-checked.
     let recover_dir = scratch("recover");
-    record_corpus(&recover_dir, &table, 1);
+    record_session(&recover_dir, &table);
     let tables: HashMap<String, Arc<Table>> =
         HashMap::from([("hollywood".to_owned(), Arc::clone(&table))]);
     group.bench_function("recover", |b| {
@@ -126,32 +121,9 @@ fn bench_replay(c: &mut Criterion) {
         })
     });
 
-    // The load harness in miniature: two recorded sessions replayed
-    // concurrently over live loopback HTTP, every digest checked.
-    let wire_dir = scratch("wire");
-    record_corpus(&wire_dir, &table, 2);
-    let corpus = load_corpus(&wire_dir).expect("corpus reads");
-    assert_eq!(corpus.len(), 2);
-    let engine = Arc::new(AsyncSessionServer::new(ServerConfig {
-        threads: 0,
-        queue_capacity: 64,
-        cache_capacity: 64,
-        ..ServerConfig::default()
-    }));
-    let net = NetServer::bind("127.0.0.1:0", engine, NetConfig::default()).expect("bind");
-    net.register_table("hollywood", Arc::clone(&table));
-    let addr = net.local_addr();
-    group.bench_function("wire", |b| {
-        b.iter(|| {
-            let report = replay_corpus(addr, &corpus, 0);
-            assert_eq!(report.mismatches, 0, "replay diverged from recording");
-            report.commands
-        })
-    });
     group.finish();
-    net.shutdown();
 
-    for dir in [append_dir, recover_dir, wire_dir] {
+    for dir in [append_dir, recover_dir] {
         let _ = std::fs::remove_dir_all(dir);
     }
 }

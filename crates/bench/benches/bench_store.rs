@@ -77,10 +77,9 @@ fn bench_snapshot(c: &mut Criterion) {
     group.bench_function("read_50k", |b| {
         b.iter(|| read_snapshot_bytes(black_box(&blob)).expect("valid"))
     });
-    // The file path end to end (page-cache hot): on 64-bit Unix this is
-    // the memory-mapped read — decode straight out of the page cache,
-    // no intermediate copy of the payload — vs `read_50k`'s pure
-    // in-memory decode, isolating what the file layer costs on top.
+    // The file path end to end (page-cache hot): read the file, then the
+    // same decode as `read_50k`, isolating what the file layer costs on
+    // top.
     let path = std::env::temp_dir().join("blaeu_bench_snapshot.snap");
     table.write_snapshot(&path).expect("writable");
     group.bench_function("file_read_50k", |b| {

@@ -1,27 +1,17 @@
-//! Zero-copy navigation benchmark: a deep zoom chain over a wide table,
-//! views vs per-zoom materialization.
+//! Zero-copy navigation benchmark: a deep zoom chain over a wide table.
 //!
-//! Blaeu's dominant interaction is recursive zooming; before the
-//! `TableView` refactor every zoom gathered a full copy of every column
-//! payload. This bench drives a 6-level zoom chain over a deliberately
-//! *wide* table (48 float columns), ending with one single-column scan at
-//! the deepest level so both variants do identical terminal work:
-//!
-//! * `view` — each level is `TableView::select` (index re-map, payloads
-//!   shared), so cost scales with the selection size, not the table
-//!   width;
-//! * `materialize` — each level is `Table::take` (the pre-refactor
-//!   behaviour), so cost scales with `width × rows` per level.
-//!
-//! The regression gate keeps both: `view` guards the zero-copy fast path
-//! itself, `materialize` documents the gap (≥2× required; in practice an
-//! order of magnitude on this shape).
+//! Blaeu's dominant interaction is recursive zooming. This bench drives a
+//! 6-level zoom chain over a deliberately *wide* table (48 float columns),
+//! ending with one single-column scan at the deepest level. Each level is
+//! `TableView::select` (index re-map, payloads shared), so cost scales
+//! with the selection size, not the table width; the regression gate
+//! guards that zero-copy fast path.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use blaeu_store::{Column, Table, TableBuilder, TableView};
 
-/// Table shape: wide enough that payload copying dominates `take`.
+/// Table shape: wide enough that copying payloads per zoom would dominate.
 const COLS: usize = 48;
 const ROWS: usize = 50_000;
 /// Zoom-chain depth (the paper's sessions drill several levels deep).
@@ -45,8 +35,8 @@ fn half(n: usize) -> Vec<u32> {
     (0..n as u32).step_by(2).collect()
 }
 
-/// Identical terminal work for both variants: scan one column at the
-/// deepest level (what a highlight would do after the zooms).
+/// Terminal work: scan one column at the deepest level (what a
+/// highlight would do after the zooms).
 fn scan<C: blaeu_store::ColumnRead>(col: &C) -> f64 {
     let mut acc = 0.0;
     for i in 0..col.len() {
@@ -56,8 +46,7 @@ fn scan<C: blaeu_store::ColumnRead>(col: &C) -> f64 {
 }
 
 fn bench_zoom_chain(c: &mut Criterion) {
-    let table = wide_table();
-    let view = TableView::from(table.clone());
+    let view = TableView::from(wide_table());
     let mut group = c.benchmark_group("view_zoom");
     group.sample_size(10);
 
@@ -72,20 +61,6 @@ fn bench_zoom_chain(c: &mut Criterion) {
         })
     });
 
-    group.bench_function("deep6/materialize", |b| {
-        b.iter(|| {
-            // Level 1 gathers from the shared base table (no up-front
-            // clone — that would double-count the copying and flatter
-            // the view variant); levels 2..DEPTH gather from the
-            // previous level, exactly the pre-refactor zoom chain.
-            let mut t = table.take(&half(table.nrows())).expect("in bounds");
-            for _ in 1..DEPTH {
-                t = t.take(&half(t.nrows())).expect("in bounds");
-            }
-            let col = t.column_by_name("c0").expect("exists");
-            black_box(scan(col))
-        })
-    });
     group.finish();
 }
 

@@ -19,6 +19,7 @@
 //! instead of regenerating it — CI diffs the CSV-loaded digest against
 //! the snapshot-loaded one, proving the two load paths are equivalent.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use blaeu_bench::{as_points, blob_columns, blobs, fmt, fmt_duration, oecd_full, oecd_small, SEED};
@@ -28,9 +29,10 @@ use blaeu_cluster::{
 };
 use blaeu_core::render::{render_highlight, render_map, render_status, render_themes};
 use blaeu_core::{
-    build_map, detect_themes, DataMap, DependencyGraph, Explorer, ExplorerConfig, MapperConfig,
-    SessionManager, ThemeConfig,
+    build_map, detect_themes, Command, DataMap, DependencyGraph, Explorer, ExplorerConfig,
+    MapperConfig, Response, ThemeConfig,
 };
+use blaeu_server::{AsyncSessionServer, ServerConfig};
 use blaeu_stats::{dependency_matrix, DependencyMeasure, DependencyOptions};
 use blaeu_store::generate::{
     hollywood, lofar, planted, ColumnShape, HollywoodConfig, LofarConfig, PlantedConfig,
@@ -253,42 +255,46 @@ fn f3() {
 fn f4() {
     header("F4", "Figure 4: architecture — concurrent session tier");
     let (table, _) = hollywood(&HollywoodConfig::default()).expect("valid");
-    let manager = SessionManager::new();
+    let table = Arc::new(table);
+    let server = AsyncSessionServer::new(ServerConfig::default());
     let clients = 8;
     let t0 = Instant::now();
     let ids: Vec<_> = (0..clients)
         .map(|_| {
-            manager
-                .create(table.clone(), ExplorerConfig::default())
+            server
+                .open_session(Arc::clone(&table), ExplorerConfig::default())
                 .expect("openable")
         })
         .collect();
-    // The session tier fans out on the shared executor; per-session work
-    // (CLARA, matrix builds) stays sequential via the nesting guard.
-    let outcomes = manager.par_with(&ids, |_, ex| {
-        ex.select_theme(0).expect("theme 0");
-        let biggest = ex
-            .map()
-            .expect("map")
-            .leaves()
-            .iter()
-            .max_by_key(|r| r.count)
-            .unwrap()
-            .id;
-        ex.zoom(biggest).expect("zoomable");
-        ex.rollback().expect("state to pop");
-    });
-    for outcome in outcomes {
-        outcome.expect("session alive");
+    // Sessions overlap on the server's pool; per-session work (CLARA,
+    // matrix builds) stays sequential via the nesting guard.
+    let maps: Vec<_> = ids
+        .iter()
+        .map(|&id| server.submit(id, Command::SelectTheme(0)).expect("queued"))
+        .collect();
+    let steps: Vec<_> = ids
+        .iter()
+        .zip(maps)
+        .flat_map(|(&id, map)| {
+            let Response::Map(map) = map.join().expect("theme 0") else {
+                unreachable!("select_theme answers with a map")
+            };
+            let biggest = map.leaves().iter().max_by_key(|r| r.count).unwrap().id;
+            [Command::Zoom(biggest), Command::Rollback]
+                .map(|cmd| server.submit(id, cmd).expect("queued"))
+        })
+        .collect();
+    for step in steps {
+        step.join().expect("session alive");
     }
     println!(
         "paper: MonetDB + R mapping engine + NodeJS session tier + web client.\n\
-         here: blaeu-store + blaeu-{{stats,cluster,tree}} + SessionManager + renderers.\n\
+         here: blaeu-store + blaeu-{{stats,cluster,tree}} + AsyncSessionServer + renderers.\n\
          measured: {clients} concurrent clients, each theme+zoom+rollback, in {}.",
         fmt_duration(t0.elapsed())
     );
     for id in ids {
-        manager.close(id).expect("still open");
+        server.close(id).expect("still open");
     }
 }
 
@@ -1103,24 +1109,27 @@ fn json_digest(path: &str, table_source: Option<&str>) {
     // Session-tier fan-out: per-session outcomes must not depend on which
     // worker served which session. All four sessions share one table
     // allocation through the zero-copy session path.
-    let manager = SessionManager::new();
+    let server = AsyncSessionServer::new(ServerConfig::default());
     let ids: Vec<_> = (0..4)
         .map(|_| {
-            manager
-                .create_shared(
-                    std::sync::Arc::clone(table.table()),
-                    ExplorerConfig::default(),
-                )
+            server
+                .open_session(Arc::clone(table.table()), ExplorerConfig::default())
                 .expect("openable")
         })
         .collect();
-    let session_depths: Vec<usize> = manager
-        .par_with(&ids, |_, session| {
-            session.select_theme(0).expect("theme 0");
-            session.depth()
+    let themed: Vec<_> = ids
+        .iter()
+        .map(|&id| server.submit(id, Command::SelectTheme(0)).expect("queued"))
+        .collect();
+    for handle in themed {
+        handle.join().expect("theme 0");
+    }
+    let session_depths: Vec<usize> = ids
+        .iter()
+        .map(|&id| match server.request(id, Command::Depth) {
+            Ok(Response::Depth(depth)) => depth,
+            other => panic!("depth query failed: {other:?}"),
         })
-        .into_iter()
-        .map(|r| r.expect("session alive"))
         .collect();
 
     let digest = json!({

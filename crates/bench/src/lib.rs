@@ -6,12 +6,6 @@
 
 #![warn(missing_docs)]
 
-pub mod replay;
-
-pub use replay::{
-    generate_corpus, load_corpus, replay_corpus, LatencyHistogram, RecordedSession, ReplayReport,
-};
-
 use blaeu_cluster::Points;
 use blaeu_core::{preprocess, MetricChoice, PreprocessConfig};
 use blaeu_store::generate::{oecd, planted, OecdConfig, PlantedConfig, PlantedTruth, ThemeSpec};

@@ -86,7 +86,8 @@ impl SessionManager {
     /// collide.
     ///
     /// # Errors
-    /// [`BlaeuError::Invalid`] when `id` is already live;
+    /// [`BlaeuError::Invalid`] when `id` is already live or is
+    /// `u64::MAX` (no id would be left to allocate after it);
     /// explorer-open failures as [`SessionManager::create_shared_memoized`].
     pub fn restore_shared_memoized(
         &self,
@@ -95,6 +96,13 @@ impl SessionManager {
         config: ExplorerConfig,
         memo: Option<Arc<dyn AnalysisMemo>>,
     ) -> Result<()> {
+        // The id may come from an untrusted journal file name: the
+        // allocator bump past it must not overflow.
+        let next = id.checked_add(1).ok_or_else(|| {
+            BlaeuError::Invalid(format!(
+                "cannot restore session {id}: no id is left to allocate after it"
+            ))
+        })?;
         let explorer = Explorer::open_shared_memoized(table, config, memo)?;
         let mut sessions = self.sessions.write();
         if sessions.contains_key(&id) {
@@ -103,7 +111,7 @@ impl SessionManager {
             )));
         }
         sessions.insert(id, Arc::new(Mutex::new(explorer)));
-        self.next_id.fetch_max(id + 1, Ordering::Relaxed);
+        self.next_id.fetch_max(next, Ordering::Relaxed);
         Ok(())
     }
 
@@ -120,30 +128,6 @@ impl SessionManager {
             .ok_or(BlaeuError::UnknownSession(id))?;
         let mut guard = handle.lock();
         Ok(f(&mut guard))
-    }
-
-    /// Runs `f` over several sessions in parallel on the shared executor,
-    /// returning one result per id **in input order**.
-    ///
-    /// This is the session tier's fan-out primitive (the paper's NodeJS
-    /// layer serving many clients at once). Each worker is flagged as an
-    /// executor worker, so any parallel work a session triggers inside `f`
-    /// — CLARA replicates, distance-matrix builds, dependency sweeps —
-    /// degrades to sequential instead of multiplying thread counts.
-    ///
-    /// Sessions fan out with a steal grain of 1: one session's request is
-    /// far too coarse to batch, and per-session latency varies (a slow map
-    /// next to a fast highlight), so idle workers steal waiting sessions
-    /// instead of being pinned to a pre-assigned block of ids.
-    ///
-    /// Unknown ids yield [`BlaeuError::UnknownSession`] in their slot
-    /// without affecting the other sessions.
-    pub fn par_with<R, F>(&self, ids: &[SessionId], f: F) -> Vec<Result<R>>
-    where
-        R: Send,
-        F: Fn(SessionId, &mut Explorer) -> R + Sync,
-    {
-        blaeu_exec::par_map_grained(ids, 0, 1, |_, &id| self.with(id, |ex| f(id, ex)))
     }
 
     /// Closes a session.
@@ -232,88 +216,6 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_sessions() {
-        let mgr = Arc::new(SessionManager::new());
-        // One shared table allocation serves every session.
-        let base = Arc::new(table());
-        let mut ids = Vec::new();
-        for _ in 0..4 {
-            ids.push(
-                mgr.create_shared(Arc::clone(&base), ExplorerConfig::default())
-                    .unwrap(),
-            );
-        }
-        let results = mgr.par_with(&ids, |_, ex| {
-            for _ in 0..3 {
-                ex.select_theme(0).unwrap();
-                ex.rollback().unwrap();
-            }
-        });
-        assert!(results.iter().all(std::result::Result::is_ok));
-        assert_eq!(mgr.len(), 4);
-        for &id in &ids {
-            assert_eq!(mgr.with(id, |ex| ex.depth()).unwrap(), 1);
-        }
-    }
-
-    #[test]
-    fn par_with_reports_unknown_ids_in_order() {
-        let mgr = SessionManager::new();
-        let a = mgr.create(table(), ExplorerConfig::default()).unwrap();
-        let bogus = a + 1000;
-        let results = mgr.par_with(&[a, bogus], |id, _| id);
-        assert_eq!(results.len(), 2);
-        assert_eq!(*results[0].as_ref().unwrap(), a);
-        assert!(matches!(results[1], Err(BlaeuError::UnknownSession(_))));
-    }
-
-    /// Regression test for nested-parallelism oversubscription: session
-    /// workers must not multiply thread counts when the work they run is
-    /// itself parallel (CLARA, matrix builds, dependency sweeps). The
-    /// executor's nesting guard forces such inner calls sequential.
-    ///
-    /// The process budget is pinned to 4 for the duration of the test so
-    /// the outer fan-out actually happens even on single-core machines.
-    #[test]
-    fn par_with_workers_run_inner_parallelism_sequentially() {
-        blaeu_exec::set_thread_budget(4);
-        // Restore auto-detection even if an assertion unwinds.
-        struct ResetBudget;
-        impl Drop for ResetBudget {
-            fn drop(&mut self) {
-                blaeu_exec::set_thread_budget(0);
-            }
-        }
-        let _reset = ResetBudget;
-
-        let mgr = SessionManager::new();
-        let base = table();
-        let ids: Vec<_> = (0..3)
-            .map(|_| mgr.create(base.clone(), ExplorerConfig::default()).unwrap())
-            .collect();
-        let results = mgr.par_with(&ids, |_, ex| {
-            assert!(
-                blaeu_exec::in_parallel_region(),
-                "session work must be flagged as executor-worker context"
-            );
-            // Anything parallel the explorer does from here (select_theme
-            // runs CLARA + matrix builds underneath) must stay on this
-            // worker's thread. Probe the executor directly:
-            let inner_threads: std::collections::HashSet<std::thread::ThreadId> =
-                blaeu_exec::par_map_range(32, 0, |_| std::thread::current().id())
-                    .into_iter()
-                    .collect();
-            assert_eq!(inner_threads.len(), 1, "inner call must be sequential");
-            ex.select_theme(0).unwrap();
-            ex.depth()
-        });
-        for depth in results {
-            assert_eq!(depth.unwrap(), 2);
-        }
-        assert!(!blaeu_exec::in_parallel_region());
-    }
-
-    #[test]
     fn restore_pins_id_and_bumps_allocator() {
         let mgr = SessionManager::new();
         let base = Arc::new(table());
@@ -334,6 +236,27 @@ mod tests {
         mgr.restore_shared_memoized(3, base, ExplorerConfig::default(), None)
             .unwrap();
         assert_eq!(mgr.ids(), vec![3, 7, fresh]);
+    }
+
+    #[test]
+    fn restore_of_max_id_is_a_typed_error_not_an_overflow() {
+        let mgr = SessionManager::new();
+        let base = Arc::new(table());
+        assert!(matches!(
+            mgr.restore_shared_memoized(
+                SessionId::MAX,
+                Arc::clone(&base),
+                ExplorerConfig::default(),
+                None
+            ),
+            Err(BlaeuError::Invalid(_))
+        ));
+        // Nothing was registered and the allocator is untouched.
+        assert!(mgr.is_empty());
+        assert_eq!(
+            mgr.create_shared(base, ExplorerConfig::default()).unwrap(),
+            0
+        );
     }
 
     #[test]

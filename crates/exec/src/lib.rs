@@ -36,10 +36,9 @@
 //! By default the grain is **adaptive**: `ceil(n / (threads ·`
 //! [`OVERPARTITION`]`))`, clamped to at least 1 — enough grains that the
 //! queue can rebalance, few enough that claim overhead stays negligible.
-//! [`par_map_grained`] / [`par_map_range_grained`] expose the knob for
-//! callers whose items are so coarse (session fan-outs, CLARA replicates)
-//! that every item should be its own steal unit, and for benchmarks that
-//! want to reproduce the legacy one-chunk-per-thread split.
+//! [`par_map_range_grained`] exposes the knob for callers whose items are
+//! so coarse (CLARA replicates, sketch shards) that every item should be
+//! its own steal unit.
 //!
 //! ## Sharding ([`ShardSpec`] / [`par_shards`])
 //!
@@ -260,13 +259,8 @@ where
 }
 
 /// [`par_map`] with an explicit steal-grain size (`grain == 0` =
-/// adaptive).
-///
-/// `grain` is a pure performance knob: it changes how work is claimed,
-/// never the results. Use `grain == 1` when every item is coarse enough
-/// to be its own steal unit (session fan-outs, clustering replicates);
-/// larger grains amortize claim overhead for cheap items.
-pub fn par_map_grained<T, R, F>(items: &[T], threads: usize, grain: usize, f: F) -> Vec<R>
+/// adaptive); the slice twin of [`par_map_range_grained`].
+fn par_map_grained<T, R, F>(items: &[T], threads: usize, grain: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -309,7 +303,12 @@ where
 }
 
 /// [`par_map_range`] with an explicit steal-grain size (`grain == 0` =
-/// adaptive). See [`par_map_grained`].
+/// adaptive).
+///
+/// `grain` is a pure performance knob: it changes how work is claimed,
+/// never the results. Use `grain == 1` when every item is coarse enough
+/// to be its own steal unit (CLARA replicates, sketch shards); larger
+/// grains amortize claim overhead for cheap items.
 pub fn par_map_range_grained<R, F>(n: usize, threads: usize, grain: usize, f: F) -> Vec<R>
 where
     R: Send,

@@ -633,8 +633,13 @@ impl AsyncSessionServer {
         };
         for item in rejected {
             match item {
-                QueueItem::User { slot, .. } => {
+                QueueItem::User { slot, stream, .. } => {
                     slot.fulfil(Err(BlaeuError::UnknownSession(id)));
+                    // A still-queued progressive command never runs, so
+                    // no rung will ever finish its stream.
+                    if let Some(stream) = stream {
+                        stream.finish();
+                    }
                 }
                 QueueItem::Rung {
                     level,

@@ -371,95 +371,6 @@ pub fn read_snapshot_bytes(bytes: &[u8]) -> Result<Table> {
     Ok(table)
 }
 
-/// Read-only memory mapping of a snapshot file — the zero-copy read
-/// path on 64-bit Unix. `mmap` returns page-aligned addresses, so the
-/// 8-byte-word checksum and payload decoding run over a word-aligned
-/// base for free; `MAP_PRIVATE` isolates the parse from concurrent
-/// writers. Any failure (open, stat, zero length, the syscall itself)
-/// degrades to `None` and the caller falls back to reading the file
-/// into memory, so mapping is strictly an optimization.
-///
-/// The `extern "C"` declarations bind the two libc symbols directly —
-/// this crate deliberately carries no FFI dependency.
-#[cfg(all(unix, target_pointer_width = "64"))]
-mod mmap_file {
-    use std::ffi::{c_int, c_void};
-    use std::os::unix::io::AsRawFd;
-
-    const PROT_READ: c_int = 1;
-    const MAP_PRIVATE: c_int = 2;
-
-    extern "C" {
-        fn mmap(
-            addr: *mut c_void,
-            len: usize,
-            prot: c_int,
-            flags: c_int,
-            fd: c_int,
-            offset: i64,
-        ) -> *mut c_void;
-        fn munmap(addr: *mut c_void, len: usize) -> c_int;
-    }
-
-    /// An owned `PROT_READ`/`MAP_PRIVATE` mapping of one whole file,
-    /// unmapped on drop. Derefs to the mapped bytes.
-    pub struct Mapping {
-        ptr: *mut c_void,
-        len: usize,
-    }
-
-    impl Mapping {
-        /// Maps `path` read-only; `None` on any failure (the caller
-        /// falls back to a buffered read). Zero-length files are never
-        /// mapped — POSIX rejects empty mappings.
-        pub fn open(path: &std::path::Path) -> Option<Mapping> {
-            let file = std::fs::File::open(path).ok()?;
-            let len = usize::try_from(file.metadata().ok()?.len()).ok()?;
-            if len == 0 {
-                return None;
-            }
-            // SAFETY: a fresh anonymous placement (`addr` null), a
-            // length measured from the open descriptor, and flags that
-            // request a read-only private view. The fd may close right
-            // after — POSIX keeps the mapping alive independently.
-            let ptr = unsafe {
-                mmap(
-                    std::ptr::null_mut(),
-                    len,
-                    PROT_READ,
-                    MAP_PRIVATE,
-                    file.as_raw_fd(),
-                    0,
-                )
-            };
-            // MAP_FAILED is (void*)-1.
-            if ptr as usize == usize::MAX {
-                return None;
-            }
-            Some(Mapping { ptr, len })
-        }
-    }
-
-    impl std::ops::Deref for Mapping {
-        type Target = [u8];
-        fn deref(&self) -> &[u8] {
-            // SAFETY: `ptr..ptr + len` is exactly the live mapping this
-            // value owns; it stays valid until Drop unmaps it, and
-            // PROT_READ guarantees reads cannot fault on permissions.
-            unsafe { std::slice::from_raw_parts(self.ptr.cast::<u8>(), self.len) }
-        }
-    }
-
-    impl Drop for Mapping {
-        fn drop(&mut self) {
-            // SAFETY: unmapping exactly the region mmap returned.
-            unsafe {
-                munmap(self.ptr, self.len);
-            }
-        }
-    }
-}
-
 impl Table {
     /// Writes this table as a binary snapshot file (see the module docs for
     /// the layout).
@@ -471,22 +382,14 @@ impl Table {
         Ok(())
     }
 
-    /// Loads a table from a binary snapshot file. On 64-bit Unix the
-    /// file is memory-mapped (word-aligned, read-only, private) and
-    /// decoded straight out of the page cache — no intermediate copy of
-    /// the payload bytes; everywhere else, or when mapping fails, the
-    /// file is read into memory first. Both paths decode identically.
+    /// Loads a table from a binary snapshot file: the file is read into
+    /// memory and decoded by [`read_snapshot_bytes`].
     ///
     /// # Errors
     /// Returns [`StoreError::Io`] for filesystem problems and
     /// [`StoreError::Snapshot`] for malformed content.
     pub fn read_snapshot(path: impl AsRef<std::path::Path>) -> Result<Table> {
-        #[cfg(all(unix, target_pointer_width = "64"))]
-        if let Some(mapping) = mmap_file::Mapping::open(path.as_ref()) {
-            return read_snapshot_bytes(&mapping);
-        }
-        let bytes = std::fs::read(path)?;
-        read_snapshot_bytes(&bytes)
+        read_snapshot_bytes(&std::fs::read(path)?)
     }
 }
 
@@ -575,36 +478,6 @@ mod tests {
         let back = Table::read_snapshot(&path).expect("readable");
         assert_eq!(back, t);
         let _ = std::fs::remove_file(&path);
-    }
-
-    /// The mapped read path and the buffered fallback must decode the
-    /// same file to the same table — mapping is an optimization, never
-    /// a behavior change.
-    #[cfg(all(unix, target_pointer_width = "64"))]
-    #[test]
-    fn mmap_and_buffered_reads_agree() {
-        let t = mixed_table();
-        let path = std::env::temp_dir().join("blaeu_snapshot_mmap_test.snap");
-        t.write_snapshot(&path).expect("writable");
-
-        let mapping = super::mmap_file::Mapping::open(&path).expect("mappable");
-        let via_map = read_snapshot_bytes(&mapping).expect("map decodes");
-        let buffered =
-            read_snapshot_bytes(&std::fs::read(&path).expect("readable")).expect("buffer decodes");
-        assert_eq!(via_map, buffered);
-        assert_eq!(via_map, t);
-
-        // Empty and missing files fall back instead of mapping.
-        let empty = std::env::temp_dir().join("blaeu_snapshot_empty_test.snap");
-        std::fs::write(&empty, []).expect("writable");
-        assert!(super::mmap_file::Mapping::open(&empty).is_none());
-        assert!(
-            super::mmap_file::Mapping::open(std::path::Path::new("/nonexistent/blaeu.snap"))
-                .is_none()
-        );
-
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(&empty);
     }
 
     #[test]

@@ -29,8 +29,8 @@ fn server_with(threads: usize, cache_capacity: usize) -> AsyncSessionServer {
 
 /// The acceptance stress: ≥ 8 sessions mixing slow (`Map`) and fast
 /// (`Highlight`) commands. Every fast response must complete before the
-/// slowest map finishes (async overlap — under the old synchronous
-/// `par_with` batch, the whole batch returned together), and each
+/// slowest map finishes (async overlap — a synchronous batch would
+/// return only once its slowest member finished), and each
 /// session's responses must arrive in submission order.
 #[test]
 fn stress_slow_maps_overlap_fast_highlights() {

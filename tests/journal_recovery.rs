@@ -341,3 +341,53 @@ fn recovered_continuation_digests_identical_across_thread_counts() {
         );
     }
 }
+
+/// Recovery takes a session id from the journal *file name*. A file
+/// named for `u64::MAX` (no id is left to allocate after it) is one
+/// contained `Replay` error, not a panic of the whole recovery; the
+/// healthy session beside it still recovers.
+#[test]
+fn max_id_journal_is_contained_beside_a_healthy_session() {
+    let table = shared_table();
+    let dir = scratch("max-id");
+    let first = journaled_engine(&dir, 0);
+    let healthy = first
+        .open_named_session("hollywood", Arc::clone(&table), ExplorerConfig::default())
+        .unwrap();
+    let recorded = first.request(healthy, Command::SelectTheme(0)).unwrap();
+    drop(first);
+    std::fs::copy(
+        dir.join(format!("session-{healthy}.jnl")),
+        dir.join(format!("session-{}.jnl", u64::MAX)),
+    )
+    .unwrap();
+
+    let second = journaled_engine(&dir, 0);
+    let tables = HashMap::from([("hollywood".to_owned(), Arc::clone(&table))]);
+    let report = second.recover(&tables).unwrap();
+    assert!(
+        matches!(
+            report.errors.as_slice(),
+            [blaeu::server::RecoveryError::Replay {
+                session: u64::MAX,
+                ..
+            }]
+        ),
+        "{:?}",
+        report.errors
+    );
+    assert_eq!(report.sessions, vec![healthy]);
+    assert_eq!(report.replayed, 1);
+    assert_eq!(second.ids(), vec![healthy]);
+    // The survivor continues where the first life left it.
+    second.request(healthy, Command::Rollback).unwrap();
+    assert_eq!(
+        second
+            .request(healthy, Command::SelectTheme(0))
+            .unwrap()
+            .digest(),
+        recorded.digest()
+    );
+    drop(second);
+    std::fs::remove_dir_all(&dir).unwrap();
+}

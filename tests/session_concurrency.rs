@@ -1,5 +1,7 @@
-//! Stress tests for the session tier: concurrent clients, interleaved
-//! lifecycles, rollback under concurrency.
+//! Stress tests for the session registry: interleaved lifecycles,
+//! rollback under concurrency, closed-session rejection. Concurrent
+//! exploration through the serving tier is covered by
+//! `tests/async_server.rs`.
 
 use std::sync::Arc;
 
@@ -12,46 +14,6 @@ fn table() -> Table {
     })
     .unwrap()
     .0
-}
-
-#[test]
-fn many_clients_explore_concurrently() {
-    let manager = SessionManager::new();
-    let base = table();
-    let ids: Vec<_> = (0..6)
-        .map(|_| {
-            manager
-                .create(base.clone(), ExplorerConfig::default())
-                .unwrap()
-        })
-        .collect();
-
-    let outcomes = manager.par_with(&ids, |_, ex| {
-        for round in 0..2 {
-            ex.select_theme(round % ex.themes().len()).unwrap();
-            let biggest = ex
-                .map()
-                .unwrap()
-                .leaves()
-                .iter()
-                .max_by_key(|r| r.count)
-                .unwrap()
-                .id;
-            ex.zoom(biggest).unwrap();
-            ex.highlight("film").unwrap();
-            ex.rollback().unwrap();
-            ex.rollback().unwrap();
-        }
-    });
-    for outcome in outcomes {
-        outcome.unwrap();
-    }
-
-    // All sessions end back at their initial state.
-    for &id in &ids {
-        assert_eq!(manager.with(id, |ex| ex.depth()).unwrap(), 1);
-    }
-    assert_eq!(manager.len(), 6);
 }
 
 #[test]
