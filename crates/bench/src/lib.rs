@@ -26,6 +26,115 @@ pub fn oecd_small() -> (Table, PlantedTruth) {
     .expect("generator cannot fail on valid config")
 }
 
+/// [`oecd_small`] with 5 % of the filler indicator cells NULL — the
+/// input that exercises every scan's NULL handling.
+pub fn oecd_small_nulls() -> Table {
+    oecd(&OecdConfig {
+        nrows: 1200,
+        ncols: 36,
+        missing_rate: 0.05,
+        seed: SEED,
+    })
+    .expect("generator cannot fail on valid config")
+    .0
+}
+
+/// Response digests of every scan command over `table`, folded per
+/// (state, command) into labelled entries such as `"zoom/highlight"`.
+///
+/// Three states are scanned: the map of theme 0 (`map`), a zoom into
+/// its largest leaf (`zoom`), and the level-0 rung of a progressive
+/// ladder over the full view (`preview`, whose leaves hold rows in
+/// sample order rather than ascending). In each state the scans are a
+/// `highlight` of every column, a `scatter` of every adjacent pair of
+/// numeric columns, and a `region_detail` of every region. Digests are
+/// persisted in session journals, so these values are a contract: the
+/// determinism digest records them and `tests/scan_digests.rs` pins them.
+///
+/// # Panics
+/// Panics when the table cannot be explored (fewer than two columns,
+/// too few rows for a preview rung) — a workload bug, not a data case.
+pub fn scan_digests(table: Table) -> Vec<(String, u64)> {
+    use blaeu_core::{Command, Explorer, ExplorerConfig};
+
+    let fields = table.schema().fields();
+    let columns: Vec<String> = fields.iter().map(|f| f.name.clone()).collect();
+    let numeric: Vec<String> = fields
+        .iter()
+        .filter(|f| f.dtype.is_numeric())
+        .map(|f| f.name.clone())
+        .collect();
+    let mut ex = Explorer::open(table, ExplorerConfig::default()).expect("openable");
+    let mut scan_state = |ex: &mut Explorer, state: &str, out: &mut Vec<(String, u64)>| {
+        let n_regions = ex.map().expect("state has a map").n_regions();
+        let commands: [(&str, Vec<Command>); 3] = [
+            (
+                "highlight",
+                columns.iter().cloned().map(Command::Highlight).collect(),
+            ),
+            (
+                "scatter",
+                numeric
+                    .windows(2)
+                    .map(|pair| Command::Scatter {
+                        x: pair[0].clone(),
+                        y: pair[1].clone(),
+                        bins: 8,
+                    })
+                    .collect(),
+            ),
+            (
+                "region_detail",
+                (0..n_regions)
+                    .map(|region| Command::RegionDetail {
+                        region,
+                        sample_rows: 5,
+                    })
+                    .collect(),
+            ),
+        ];
+        for (name, commands) in commands {
+            let digests: Vec<u64> = commands
+                .iter()
+                .map(|c| ex.execute(c).expect("scan succeeds").digest())
+                .collect();
+            out.push((format!("{state}/{name}"), fold_digests(&digests)));
+        }
+    };
+
+    let mut out = Vec::new();
+    ex.select_theme(0).expect("mappable");
+    scan_state(&mut ex, "map", &mut out);
+    let biggest = ex
+        .map()
+        .expect("mapped")
+        .leaves()
+        .iter()
+        .max_by_key(|r| r.count)
+        .map(|r| r.id)
+        .expect("a map has leaves");
+    ex.zoom(biggest).expect("zoomable");
+    scan_state(&mut ex, "zoom", &mut out);
+    ex.rollback().expect("zoom is undoable");
+    ex.map_progressive().expect("ladder starts");
+    assert!(
+        ex.map().expect("rung map").is_preview(),
+        "level 0 must be a preview map"
+    );
+    scan_state(&mut ex, "preview", &mut out);
+    out
+}
+
+/// FNV-1a over the little-endian bytes of `digests`, in order.
+fn fold_digests(digests: &[u64]) -> u64 {
+    digests
+        .iter()
+        .flat_map(|d| d.to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
 /// The paper-sized Countries & Work table (6 823 × 378).
 pub fn oecd_full() -> (Table, PlantedTruth) {
     oecd(&OecdConfig {
