@@ -22,7 +22,9 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use blaeu_bench::{as_points, blob_columns, blobs, fmt, fmt_duration, oecd_full, oecd_small, SEED};
+use blaeu_bench::{
+    as_points, blob_columns, blobs, fmt, fmt_duration, oecd_full, oecd_small, scan_digests, SEED,
+};
 use blaeu_cluster::{
     adjusted_rand_index, clara, kmeans, label_nmi, mc_silhouette, pam, select_k, silhouette_score,
     ClaraConfig, DistanceMatrix, KMeansConfig, KSelectConfig, McSilhouetteConfig, PamConfig,
@@ -1106,6 +1108,13 @@ fn json_digest(path: &str, table_source: Option<&str>) {
     .map(|&(i, j)| bits(matrix.get(i, j)))
     .collect();
 
+    // Every scan response (highlight, scatter, region_detail) at a map,
+    // after a zoom and on a preview rung — the set tests/scan_digests.rs pins.
+    let scans: Vec<Value> = scan_digests(table.table().as_ref().clone())
+        .into_iter()
+        .map(|(label, digest)| json!([label, format!("{digest:016x}")]))
+        .collect();
+
     // Session-tier fan-out: per-session outcomes must not depend on which
     // worker served which session. All four sessions share one table
     // allocation through the zero-copy session path.
@@ -1153,6 +1162,7 @@ fn json_digest(path: &str, table_source: Option<&str>) {
             "probe_bits": probes,
         }),
         "sessions": json!({"depths": session_depths}),
+        "scans": scans,
     });
     let rendered = serde_json::to_string_pretty(&digest).expect("serializable");
     std::fs::write(path, rendered + "\n").unwrap_or_else(|e| panic!("cannot write {path}: {e}"));

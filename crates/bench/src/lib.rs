@@ -44,8 +44,8 @@ pub fn oecd_small_nulls() -> Table {
 ///
 /// Three states are scanned: the map of theme 0 (`map`), a zoom into
 /// its largest leaf (`zoom`), and the level-0 rung of a progressive
-/// ladder over the full view (`preview`, whose leaves hold rows in
-/// sample order rather than ascending). In each state the scans are a
+/// ladder over the full view (`preview`, whose leaves hold only the
+/// routed sample rows). In each state the scans are a
 /// `highlight` of every column, a `scatter` of every adjacent pair of
 /// numeric columns, and a `region_detail` of every region. Digests are
 /// persisted in session journals, so these values are a contract: the
@@ -65,7 +65,7 @@ pub fn scan_digests(table: Table) -> Vec<(String, u64)> {
         .map(|f| f.name.clone())
         .collect();
     let mut ex = Explorer::open(table, ExplorerConfig::default()).expect("openable");
-    let mut scan_state = |ex: &mut Explorer, state: &str, out: &mut Vec<(String, u64)>| {
+    let scan_state = |ex: &mut Explorer, state: &str, out: &mut Vec<(String, u64)>| {
         let n_regions = ex.map().expect("state has a map").n_regions();
         let commands: [(&str, Vec<Command>); 3] = [
             (

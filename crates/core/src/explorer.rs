@@ -55,12 +55,11 @@ pub struct ExplorerState {
 }
 
 impl ExplorerState {
-    /// Gathers up to `cap` of the given view-relative rows as an owned
-    /// example table — the single materialization helper for tuples shown
-    /// to the user. Analysis never materializes; only examples do.
-    pub fn example_rows(&self, rows: &[u32], cap: usize) -> Result<Table> {
-        let shown: Vec<u32> = rows.iter().copied().take(cap).collect();
-        Ok(self.view.gather(&shown)?)
+    /// Gathers the given view-relative rows as an owned example table —
+    /// the single materialization helper for tuples shown to the user.
+    /// Analysis never materializes; only examples do.
+    pub fn example_rows(&self, rows: &[u32]) -> Result<Table> {
+        Ok(self.view.gather(rows)?)
     }
 }
 
@@ -117,6 +116,11 @@ pub struct Explorer {
 }
 
 impl Explorer {
+    /// Most example tuples one [`Explorer::region_detail`] returns. The
+    /// count comes straight off the wire, and every example row is
+    /// gathered across all columns and then digested; clients show 5.
+    pub const MAX_EXAMPLE_ROWS: usize = 1000;
+
     /// Opens an explorer on a table: detects themes and initializes the
     /// root state (all rows, no active columns).
     ///
@@ -460,8 +464,8 @@ impl Explorer {
         state.view.col_by_name(column)?;
         let mut regions = Vec::new();
         for leaf in map.leaves() {
-            let rows = map.rows_of(leaf.id)?;
-            let sub = state.view.select(&rows)?;
+            let rows = map.leaf_rows_of(leaf.id)?;
+            let sub = state.view.select(rows)?;
             let col = sub.col_by_name(column)?;
             let summary = describe(&col, 5);
             let hist = histogram(&col, 8);
@@ -521,8 +525,8 @@ impl Explorer {
         let bins = bins.clamp(2, 64);
         let mut out = Vec::new();
         for leaf in map.leaves() {
-            let rows = map.rows_of(leaf.id)?;
-            let sub = state.view.select(&rows)?;
+            let rows = map.leaf_rows_of(leaf.id)?;
+            let sub = state.view.select(rows)?;
             let x = sub.col_by_name(x_column)?;
             let y = sub.col_by_name(y_column)?;
             out.push((leaf.id, blaeu_stats::ScatterGrid::build(&x, &y, bins, bins)));
@@ -559,17 +563,25 @@ impl Explorer {
     }
 
     /// Detailed view of one region: its metadata, up to `sample_rows`
-    /// example tuples, and the representative (medoid) tuple when the
-    /// region's cluster has one — the paper's left info panel (Figure 6).
+    /// example tuples (the region's lowest view rows), and the
+    /// representative (medoid) tuple when the region's cluster has one —
+    /// the paper's left info panel (Figure 6).
     ///
     /// # Errors
-    /// Needs an active map and a valid region id.
+    /// Needs an active map and a valid region id; `sample_rows` above
+    /// [`Explorer::MAX_EXAMPLE_ROWS`] is [`BlaeuError::Invalid`].
     pub fn region_detail(&self, region_id: usize, sample_rows: usize) -> Result<RegionDetail> {
+        if sample_rows > Self::MAX_EXAMPLE_ROWS {
+            return Err(BlaeuError::Invalid(format!(
+                "sample_rows {sample_rows} exceeds the cap of {}",
+                Self::MAX_EXAMPLE_ROWS
+            )));
+        }
         let state = self.current();
         let map = state.map.as_deref().ok_or(BlaeuError::NoActiveMap)?;
         let region = map.region(region_id)?.clone();
-        let rows = map.rows_of(region_id)?;
-        let examples = state.example_rows(&rows, sample_rows)?;
+        let rows = map.first_rows_of(region_id, sample_rows)?;
+        let examples = state.example_rows(&rows)?;
         let medoid = map
             .medoid_rows
             .get(region.cluster)
@@ -937,6 +949,22 @@ mod tests {
             assert_eq!(medoid.len(), ex.base().ncols());
         }
         assert!(ex.region_detail(9999, 5).is_err());
+    }
+
+    #[test]
+    fn region_detail_caps_example_rows() {
+        let mut ex = small_explorer();
+        ex.select_theme(0).unwrap();
+        let at_cap = ex.region_detail(0, Explorer::MAX_EXAMPLE_ROWS).unwrap();
+        assert_eq!(
+            at_cap.examples.nrows(),
+            Explorer::MAX_EXAMPLE_ROWS.min(ex.current().view.nrows())
+        );
+        let over = Command::RegionDetail {
+            region: 0,
+            sample_rows: Explorer::MAX_EXAMPLE_ROWS + 1,
+        };
+        assert!(matches!(ex.execute(&over), Err(BlaeuError::Invalid(_))));
     }
 
     #[test]

@@ -71,7 +71,9 @@ pub struct DataMap {
     pub medoid_rows: Vec<u32>,
     /// The regions, `regions[0]` being the root.
     regions: Vec<Region>,
-    /// Per-leaf view-row memberships, indexed by leaf index.
+    /// Per-leaf view-row memberships, indexed by leaf index, each
+    /// ascending (exact maps route the view in row order, preview maps a
+    /// sorted prefix sample).
     leaf_rows: Vec<Vec<u32>>,
     /// The underlying decision tree.
     tree: DecisionTree,
@@ -95,6 +97,10 @@ impl DataMap {
         tree: DecisionTree,
     ) -> Self {
         debug_assert!(!regions.is_empty(), "a map always has a root region");
+        debug_assert!(
+            leaf_rows.iter().all(|rows| rows.is_sorted()),
+            "leaf memberships are ascending"
+        );
         DataMap {
             columns,
             k,
@@ -199,18 +205,9 @@ impl DataMap {
         if !self.is_preview() {
             return self.rows_of(id);
         }
-        let region = self.region(id)?;
-        // Leaves under this region, by left-to-right leaf index.
         let mut wanted = vec![false; self.leaf_rows.len()];
-        let mut stack = vec![region];
-        while let Some(r) = stack.pop() {
-            if let Some(leaf) = r.leaf {
-                wanted[leaf] = true;
-            } else {
-                for &c in &r.children {
-                    stack.push(&self.regions[c]);
-                }
-            }
+        for leaf in self.leaves_under(self.region(id)?) {
+            wanted[leaf] = true;
         }
         let assignments = self.tree.leaf_assignments(view)?;
         Ok(assignments
@@ -234,18 +231,56 @@ impl DataMap {
             return Ok(self.leaf_rows[leaf].clone());
         }
         let mut out = Vec::with_capacity(region.count);
-        let mut stack = vec![region];
-        while let Some(r) = stack.pop() {
-            if let Some(leaf) = r.leaf {
-                out.extend_from_slice(&self.leaf_rows[leaf]);
-            } else {
-                for &c in &r.children {
-                    stack.push(&self.regions[c]);
-                }
-            }
+        for leaf in self.leaves_under(region) {
+            out.extend_from_slice(&self.leaf_rows[leaf]);
         }
         out.sort_unstable();
         Ok(out)
+    }
+
+    /// The stored view-row indices of a leaf region, borrowed — what
+    /// [`DataMap::rows_of`] clones for a leaf.
+    ///
+    /// # Errors
+    /// Returns [`BlaeuError::UnknownRegion`] for bad ids and
+    /// [`BlaeuError::Invalid`] for internal regions.
+    pub fn leaf_rows_of(&self, id: usize) -> Result<&[u32]> {
+        let leaf = self
+            .region(id)?
+            .leaf
+            .ok_or_else(|| BlaeuError::Invalid(format!("region {id} is not a leaf")))?;
+        Ok(&self.leaf_rows[leaf])
+    }
+
+    /// The first `n` rows of [`DataMap::rows_of`]`(id)`, without
+    /// collecting the region: leaves hold their rows ascending, so these
+    /// are the `n` smallest of each descendant leaf's first `n`.
+    ///
+    /// # Errors
+    /// Returns [`BlaeuError::UnknownRegion`] for bad ids.
+    pub fn first_rows_of(&self, id: usize, n: usize) -> Result<Vec<u32>> {
+        let mut out = Vec::new();
+        for leaf in self.leaves_under(self.region(id)?) {
+            let rows = &self.leaf_rows[leaf];
+            out.extend_from_slice(&rows[..n.min(rows.len())]);
+        }
+        out.sort_unstable();
+        out.truncate(n);
+        Ok(out)
+    }
+
+    /// Leaf indices of the leaves under `region` (itself, for a leaf).
+    fn leaves_under(&self, region: &Region) -> Vec<usize> {
+        let mut leaves = Vec::new();
+        let mut stack = vec![region];
+        while let Some(r) = stack.pop() {
+            if let Some(leaf) = r.leaf {
+                leaves.push(leaf);
+            } else {
+                stack.extend(r.children.iter().map(|&c| &self.regions[c]));
+            }
+        }
+        leaves
     }
 }
 

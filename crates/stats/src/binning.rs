@@ -51,25 +51,26 @@ impl Discretizer {
     /// Fits a discretizer on the non-NULL values of a column sample.
     ///
     /// Degenerate inputs (constant or empty data) yield a single bin.
+    /// Equal-width bins need only the finite range, so only
+    /// equal-frequency bins sort the sample.
     pub fn fit(values: &[f64], strategy: BinStrategy, nbins: usize) -> Self {
-        let mut sorted: Vec<f64> = values.iter().copied().filter(|v| v.is_finite()).collect();
-        sorted.sort_by(f64::total_cmp);
-        if sorted.is_empty() || sorted[0] == sorted[sorted.len() - 1] {
-            return Discretizer { edges: Vec::new() };
-        }
-        let nbins = nbins.max(2);
-        let mut edges = Vec::with_capacity(nbins - 1);
         match strategy {
-            BinStrategy::EqualWidth => {
-                let lo = sorted[0];
-                let hi = sorted[sorted.len() - 1];
-                let width = (hi - lo) / nbins as f64;
-                for b in 1..nbins {
-                    edges.push(lo + width * b as f64);
-                }
-            }
+            BinStrategy::EqualWidth => equal_width_over(
+                values
+                    .iter()
+                    .fold(None, |range, &v| include_finite(range, v)),
+                nbins,
+            ),
             BinStrategy::EqualFrequency => {
+                let mut sorted: Vec<f64> =
+                    values.iter().copied().filter(|v| v.is_finite()).collect();
+                sorted.sort_by(f64::total_cmp);
+                if sorted.is_empty() || sorted[0] == sorted[sorted.len() - 1] {
+                    return Discretizer { edges: Vec::new() };
+                }
+                let nbins = nbins.max(2);
                 let n = sorted.len();
+                let mut edges = Vec::with_capacity(nbins - 1);
                 for b in 1..nbins {
                     let q = sorted[(b * n / nbins).min(n - 1)];
                     // Skip duplicate edges caused by heavy ties.
@@ -77,9 +78,27 @@ impl Discretizer {
                         edges.push(q);
                     }
                 }
+                Discretizer { edges }
             }
         }
-        Discretizer { edges }
+    }
+
+    /// Equal-width bins over `[lo, hi]` (at least two), or a single bin
+    /// when `lo == hi`.
+    pub fn equal_width(lo: f64, hi: f64, nbins: usize) -> Self {
+        if lo == hi {
+            return Discretizer { edges: Vec::new() };
+        }
+        let nbins = nbins.max(2);
+        let width = (hi - lo) / nbins as f64;
+        Discretizer {
+            edges: (1..nbins).map(|b| lo + width * b as f64).collect(),
+        }
+    }
+
+    /// Upper edge of each bin except the last, ascending.
+    pub fn edges(&self) -> &[f64] {
+        &self.edges
     }
 
     /// Number of bins this discretizer produces.
@@ -93,6 +112,31 @@ impl Discretizer {
         // Binary search: first edge strictly greater than v.
         self.edges.partition_point(|&e| e <= v) as u32
     }
+}
+
+/// Widens a running finite `(min, max)` by `v` under [`f64::total_cmp`];
+/// NaN and ±inf leave it unchanged. The result is bit-identical to the
+/// first and last element of the finite values sorted by `total_cmp`
+/// (`-0.0` orders below `0.0`), without the sort.
+pub(crate) fn include_finite(range: Option<(f64, f64)>, v: f64) -> Option<(f64, f64)> {
+    if !v.is_finite() {
+        return range;
+    }
+    Some(match range {
+        None => (v, v),
+        Some((lo, hi)) => (
+            if v.total_cmp(&lo).is_lt() { v } else { lo },
+            if v.total_cmp(&hi).is_gt() { v } else { hi },
+        ),
+    })
+}
+
+/// Equal-width bins over a finite range built by [`include_finite`]; a
+/// single bin when the values had none.
+pub(crate) fn equal_width_over(range: Option<(f64, f64)>, nbins: usize) -> Discretizer {
+    range.map_or(Discretizer { edges: Vec::new() }, |(lo, hi)| {
+        Discretizer::equal_width(lo, hi, nbins)
+    })
 }
 
 /// Discrete view of a column: a dense `u32` code per row plus a validity

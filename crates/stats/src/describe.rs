@@ -78,6 +78,62 @@ pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
     }
 }
 
+/// Slices shorter than this sort by comparison in [`sort_total`]; the
+/// radix passes' fixed cost only pays off above it. On a 2-core x86-64
+/// host, uniformly random mantissas break even near here; columns whose
+/// high or low bytes repeat (skipped digits) win from half of it.
+pub const SORT_TOTAL_RADIX_MIN: usize = 512;
+
+/// Sorts `values` ascending under [`f64::total_cmp`].
+///
+/// An LSD radix sort over the order-preserving `u64` key of each value:
+/// one counting pass fills the histograms of all eight byte digits, and
+/// digits whose values all share one bucket are skipped. Below
+/// [`SORT_TOTAL_RADIX_MIN`] it is `sort_by(f64::total_cmp)`. Values that
+/// compare `Equal` under `total_cmp` have identical bits, so the result
+/// is bit-identical to any correct sort.
+pub fn sort_total(values: &mut [f64]) {
+    let n = values.len();
+    if n < SORT_TOTAL_RADIX_MIN {
+        values.sort_by(f64::total_cmp);
+        return;
+    }
+    // Negative values flip every bit, the rest only the sign bit: the
+    // keys then order as unsigned integers exactly as `total_cmp` does.
+    const SIGN: u64 = 1 << 63;
+    let mut counts = [[0usize; 256]; 8];
+    let mut keys = Vec::with_capacity(n);
+    for v in values.iter() {
+        let b = v.to_bits();
+        let k = if b & SIGN != 0 { !b } else { b | SIGN };
+        for (digit, c) in counts.iter_mut().enumerate() {
+            c[(k >> (8 * digit)) as u8 as usize] += 1;
+        }
+        keys.push(k);
+    }
+    let mut scratch = vec![0u64; n];
+    for (digit, c) in counts.iter().enumerate() {
+        if c.contains(&n) {
+            continue;
+        }
+        let mut offsets = [0usize; 256];
+        let mut sum = 0;
+        for (o, &count) in offsets.iter_mut().zip(c) {
+            *o = sum;
+            sum += count;
+        }
+        for &k in &keys {
+            let bucket = (k >> (8 * digit)) as u8 as usize;
+            scratch[offsets[bucket]] = k;
+            offsets[bucket] += 1;
+        }
+        std::mem::swap(&mut keys, &mut scratch);
+    }
+    for (v, k) in values.iter_mut().zip(keys) {
+        *v = f64::from_bits(if k & SIGN != 0 { k & !SIGN } else { !k });
+    }
+}
+
 /// The canonical row shard layout for row-sharded column sketches
 /// (describe, histogram, CLARA assignment): a pure function of the row
 /// count — never of the thread or worker count — so every node agrees
@@ -193,7 +249,8 @@ impl DescribePartial {
 pub fn describe_shard<C: ColumnRead>(column: &C, rows: std::ops::Range<usize>) -> DescribePartial {
     match describe_kind(column) {
         DescribeKind::Numeric => {
-            let values: Vec<f64> = rows.clone().filter_map(|i| column.numeric_at(i)).collect();
+            let mut values = Vec::with_capacity(rows.len());
+            values.extend(rows.clone().filter_map(|i| column.numeric_at(i)));
             let nulls = rows.len() - values.len();
             DescribePartial::Numeric { values, nulls }
         }
@@ -232,7 +289,7 @@ pub fn finalize_describe(partial: DescribePartial, top_k: usize) -> ColumnSummar
                     max: f64::NAN,
                 });
             }
-            values.sort_by(f64::total_cmp);
+            sort_total(&mut values);
             let n = values.len();
             let mean = values.iter().sum::<f64>() / n as f64;
             let std = if n > 1 {
@@ -272,17 +329,12 @@ pub fn finalize_describe(partial: DescribePartial, top_k: usize) -> ColumnSummar
 /// Summarizes a column (owned or view-selected — any [`ColumnRead`]).
 /// `top_k` caps the categorical top-list.
 ///
-/// Routed through the describe sketch: the column is cut into canonical
-/// row shards, per-shard partials merge in shard order, and the merged
-/// partial finalizes — the same combine a distributed run performs, so
-/// the result is bit-identical whether shards run here or on workers.
+/// Routed through the describe sketch as one shard spanning every row:
+/// its single gather is the concatenation, in row order, that merging
+/// the canonical row shards of a distributed run rebuilds (and counts
+/// add exactly), so the result is bit-identical either way.
 pub fn describe<C: ColumnRead>(column: &C, top_k: usize) -> ColumnSummary {
-    let spec = row_shard_spec(column.len());
-    let mut partial = DescribePartial::empty(describe_kind(column));
-    for s in 0..spec.shard_count() {
-        partial.merge(describe_shard(column, spec.range(s)));
-    }
-    finalize_describe(partial, top_k)
+    finalize_describe(describe_shard(column, 0..column.len()), top_k)
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 
 use blaeu_store::{ColumnRead, DataType};
 
-use crate::binning::{BinStrategy, Discretizer};
+use crate::binning::{equal_width_over, include_finite, Discretizer};
 
 /// A univariate histogram over one column.
 #[derive(Debug, Clone, PartialEq)]
@@ -146,24 +146,31 @@ pub fn histogram_prepare<C: ColumnRead>(column: &C, bins: usize) -> HistogramSke
     let bins = bins.max(1);
     match column.data_type() {
         DataType::Float64 | DataType::Int64 => {
-            let vals: Vec<f64> = (0..column.len())
-                .filter_map(|i| column.numeric_at(i))
-                .collect();
-            if vals.is_empty() {
+            // One pass, no gather: the header range folds `f64::min`/`max`
+            // (NaN skipped, ±inf kept) while the discretizer's range is
+            // the finite `total_cmp` one equal-width fitting uses.
+            let mut seen = false;
+            let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+            let mut finite = None;
+            for v in (0..column.len()).filter_map(|i| column.numeric_at(i)) {
+                seen = true;
+                lo = f64::min(lo, v);
+                hi = f64::max(hi, v);
+                finite = include_finite(finite, v);
+            }
+            if !seen {
                 return HistogramSketch::Numeric {
                     mode: HistogramMode::Empty,
                     disc: None,
                 };
             }
-            let lo = vals.iter().copied().fold(f64::INFINITY, f64::min);
-            let hi = vals.iter().copied().fold(f64::NEG_INFINITY, f64::max);
             if lo == hi {
                 return HistogramSketch::Numeric {
                     mode: HistogramMode::Flat { lo, hi },
                     disc: None,
                 };
             }
-            let disc = Discretizer::fit(&vals, BinStrategy::EqualWidth, bins);
+            let disc = equal_width_over(finite, bins);
             let nbins = disc.nbins();
             HistogramSketch::Numeric {
                 mode: HistogramMode::Binned { lo, hi, nbins },
@@ -374,18 +381,12 @@ pub fn finalize_histogram(partial: HistogramPartial, bins: usize) -> Histogram {
 /// frequent first, remainder folded into `"<other>"`).
 ///
 /// Routed through the histogram sketch: phase 1 settles the bin layout,
-/// canonical row shards tally counts, partials merge in shard order,
-/// and the merged partial finalizes — the same combine a distributed
-/// run performs, so the result is bit-identical whether shards run here
-/// or on workers.
+/// one shard spanning every row tallies counts, and the partial
+/// finalizes. Counts are integer adds, so this equals the merge of the
+/// canonical row shards a distributed run performs, bit for bit.
 pub fn histogram<C: ColumnRead>(column: &C, bins: usize) -> Histogram {
     let sketch = histogram_prepare(column, bins);
-    let spec = crate::describe::row_shard_spec(column.len());
-    let mut partial = HistogramPartial::empty(&sketch);
-    for s in 0..spec.shard_count() {
-        partial.merge(histogram_shard(column, &sketch, spec.range(s)));
-    }
-    finalize_histogram(partial, bins)
+    finalize_histogram(histogram_shard(column, &sketch, 0..column.len()), bins)
 }
 
 #[cfg(test)]

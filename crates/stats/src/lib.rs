@@ -40,8 +40,9 @@ pub use chi2::{chi2_p_value, chi2_test, Chi2Test};
 pub use contingency::ContingencyTable;
 pub use correlation::{pearson, ranks, spearman};
 pub use describe::{
-    describe, describe_kind, describe_shard, finalize_describe, row_shard_spec, CategoricalSummary,
-    ColumnSummary, DescribeKind, DescribePartial, NumericSummary,
+    describe, describe_kind, describe_shard, finalize_describe, row_shard_spec, sort_total,
+    CategoricalSummary, ColumnSummary, DescribeKind, DescribePartial, NumericSummary,
+    SORT_TOTAL_RADIX_MIN,
 };
 pub use entropy::{entropy, entropy_from_counts, joint_entropy};
 pub use histogram::{

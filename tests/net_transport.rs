@@ -482,6 +482,19 @@ fn error_statuses_are_mapped_and_keep_alive_survives() {
     );
     assert_eq!(zoom.status, 422, "{}", zoom.body);
     assert_eq!(zoom.json()["error"]["code"].as_str(), Some("no_active_map"));
+    let too_many_examples = client.request(
+        "POST",
+        &format!("/sessions/{session}/commands"),
+        Some(&format!(
+            r#"{{"cmd": "region_detail", "region": 0, "sample_rows": {}}}"#,
+            Explorer::MAX_EXAMPLE_ROWS + 1
+        )),
+    );
+    assert_eq!(too_many_examples.status, 422, "{}", too_many_examples.body);
+    assert_eq!(
+        too_many_examples.json()["error"]["code"].as_str(),
+        Some("invalid")
+    );
     let depth = client.request(
         "POST",
         &format!("/sessions/{session}/commands"),

@@ -2,13 +2,131 @@
 
 use proptest::prelude::*;
 
+use blaeu::core::{build_map, DataMap, MapperConfig};
 use blaeu::stats::{
     dependency_matrix, describe, discretize, entropy, entropy_from_counts, histogram,
-    joint_entropy, mutual_information, normalized_mutual_information, pearson, ranks, spearman,
-    BinRule, BinStrategy, ColumnSummary, ContingencyTable, DependencyOptions, Histogram,
-    MiNormalization,
+    histogram_prepare, joint_entropy, mutual_information, normalized_mutual_information, pearson,
+    ranks, sort_total, spearman, BinRule, BinStrategy, ColumnSummary, ContingencyTable,
+    DependencyOptions, Discretizer, Histogram, HistogramMode, HistogramSketch, MiNormalization,
+    SORT_TOTAL_RADIX_MIN,
 };
+use blaeu::store::generate::{planted, PlantedConfig};
 use blaeu::store::{Column, TableBuilder};
+
+/// Values that stress bit-level ordering: NaNs of both signs with
+/// several payloads, signed zeros, infinities, subnormals, a few heavily
+/// repeated small integers, and arbitrary bit patterns.
+fn awkward_f64() -> impl Strategy<Value = f64> {
+    const SPECIAL: [f64; 14] = [
+        f64::NAN,
+        -f64::NAN,
+        f64::from_bits(0x7ff0_0000_0000_0001),
+        f64::from_bits(0xfff0_0000_0000_0abc),
+        f64::from_bits(0x7fff_ffff_ffff_ffff),
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::from_bits(1),
+        -f64::from_bits(1),
+        f64::MIN_POSITIVE / 4.0,
+        f64::MAX,
+        f64::MIN,
+    ];
+    (0usize..20, any::<u64>(), -1e3f64..1e3).prop_map(|(kind, raw, x)| match kind {
+        0..=13 => SPECIAL[kind],
+        14..=16 => (raw % 4) as f64,
+        17 | 18 => f64::from_bits(raw),
+        _ => x,
+    })
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// The equal-width edges as they were fitted before the fit stopped
+/// sorting: gather the finite values, sort them, bin `[first, last]`.
+fn gather_sort_edges(values: &[f64], nbins: usize) -> Vec<f64> {
+    let mut sorted: Vec<f64> = values.iter().copied().filter(|v| v.is_finite()).collect();
+    sorted.sort_by(f64::total_cmp);
+    if sorted.is_empty() || sorted[0] == sorted[sorted.len() - 1] {
+        return Vec::new();
+    }
+    let nbins = nbins.max(2);
+    let (lo, hi) = (sorted[0], sorted[sorted.len() - 1]);
+    let width = (hi - lo) / nbins as f64;
+    (1..nbins).map(|b| lo + width * b as f64).collect()
+}
+
+/// The layout header as `(kind, lo bits, hi bits, nbins)`.
+fn mode_bits(mode: &HistogramMode) -> (u8, u64, u64, usize) {
+    match *mode {
+        HistogramMode::Empty => (0, 0, 0, 1),
+        HistogramMode::Flat { lo, hi } => (1, lo.to_bits(), hi.to_bits(), 1),
+        HistogramMode::Binned { lo, hi, nbins } => (2, lo.to_bits(), hi.to_bits(), nbins),
+    }
+}
+
+/// The numeric histogram as it was built before `histogram_prepare`
+/// stopped gathering the column: header, edge bits, counts and NULLs.
+#[allow(clippy::type_complexity)]
+fn gather_sort_histogram(
+    cells: &[Option<f64>],
+    bins: usize,
+) -> ((u8, u64, u64, usize), Vec<u64>, Vec<usize>, usize) {
+    let bins = bins.max(1);
+    let vals: Vec<f64> = cells.iter().flatten().copied().collect();
+    let nulls = cells.len() - vals.len();
+    if vals.is_empty() {
+        return (
+            mode_bits(&HistogramMode::Empty),
+            bits(&[0.0, 1.0]),
+            vec![0],
+            nulls,
+        );
+    }
+    let lo = vals.iter().copied().fold(f64::INFINITY, f64::min);
+    let hi = vals.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    if lo == hi {
+        let mode = HistogramMode::Flat { lo, hi };
+        return (mode_bits(&mode), bits(&[lo, hi]), vec![vals.len()], nulls);
+    }
+    let disc_edges = gather_sort_edges(&vals, bins);
+    let nbins = disc_edges.len() + 1;
+    let mut counts = vec![0; nbins];
+    for v in &vals {
+        counts[disc_edges.partition_point(|&e| e <= *v)] += 1;
+    }
+    let width = (hi - lo) / nbins as f64;
+    let edges: Vec<f64> = (0..=nbins).map(|i| lo + width * i as f64).collect();
+    let mode = HistogramMode::Binned { lo, hi, nbins };
+    (mode_bits(&mode), bits(&edges), counts, nulls)
+}
+
+fn numeric_parts(h: Histogram) -> (Vec<u64>, Vec<usize>, usize) {
+    match h {
+        Histogram::Numeric {
+            edges,
+            counts,
+            nulls,
+        } => (bits(&edges), counts, nulls),
+        Histogram::Categorical { .. } => panic!("numeric column gave a bar chart"),
+    }
+}
+
+/// Checks `first_rows_of(id, n)` against `rows_of(id)` truncated to `n`
+/// for every region and every interesting `n`.
+fn check_first_rows(map: &DataMap) -> Result<(), TestCaseError> {
+    for region in map.regions() {
+        let all = map.rows_of(region.id).unwrap();
+        for n in [0, 1, 5, all.len(), all.len() + 3] {
+            let want: Vec<u32> = all.iter().copied().take(n).collect();
+            prop_assert_eq!(map.first_rows_of(region.id, n).unwrap(), want);
+        }
+    }
+    Ok(())
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -169,5 +287,88 @@ proptest! {
         }
         // x~y at least as dependent as x~z (y is a function of x).
         prop_assert!(dm.get(0, 1) + 1e-9 >= dm.get(0, 2));
+    }
+
+    #[test]
+    fn sort_total_matches_comparison_sort_bitwise(
+        values in prop::collection::vec(awkward_f64(), 0..3 * SORT_TOTAL_RADIX_MIN),
+    ) {
+        let mut want = values.clone();
+        want.sort_by(f64::total_cmp);
+        let mut got = values;
+        sort_total(&mut got);
+        prop_assert_eq!(bits(&got), bits(&want));
+    }
+
+    #[test]
+    fn sort_total_matches_on_both_sides_of_the_cutoff(
+        pool in prop::collection::vec(awkward_f64(), 1..64),
+        picks in prop::collection::vec(any::<usize>(), SORT_TOTAL_RADIX_MIN + 1..SORT_TOTAL_RADIX_MIN + 2),
+    ) {
+        // Few distinct values, so ties are heavy on both paths.
+        for len in [0, 1, SORT_TOTAL_RADIX_MIN - 1, SORT_TOTAL_RADIX_MIN, SORT_TOTAL_RADIX_MIN + 1] {
+            let values: Vec<f64> = picks[..len].iter().map(|i| pool[i % pool.len()]).collect();
+            let mut want = values.clone();
+            want.sort_by(f64::total_cmp);
+            let mut got = values;
+            sort_total(&mut got);
+            prop_assert_eq!(bits(&got), bits(&want), "len {}", len);
+        }
+    }
+
+    #[test]
+    fn equal_width_fit_matches_gather_and_sort(
+        values in prop::collection::vec(awkward_f64(), 0..300),
+        nbins in 0usize..12,
+    ) {
+        let disc = Discretizer::fit(&values, BinStrategy::EqualWidth, nbins);
+        prop_assert_eq!(bits(disc.edges()), bits(&gather_sort_edges(&values, nbins)));
+        let constant = vec![values.first().copied().unwrap_or(-0.0); values.len()];
+        let disc = Discretizer::fit(&constant, BinStrategy::EqualWidth, nbins);
+        prop_assert_eq!(bits(disc.edges()), bits(&gather_sort_edges(&constant, nbins)));
+    }
+
+    #[test]
+    fn histogram_matches_gather_and_sort(
+        cells in prop::collection::vec(prop::option::of(awkward_f64()), 0..300),
+        bins in 0usize..12,
+    ) {
+        let constant: Vec<Option<f64>> = cells.iter().map(|c| c.map(|_| 2.5)).collect();
+        let all_null = vec![None; cells.len()];
+        for cells in [cells, constant, all_null] {
+            let col = Column::from_f64s(cells.iter().copied());
+            let (mode, edges, counts, nulls) = gather_sort_histogram(&cells, bins);
+            let HistogramSketch::Numeric { mode: got_mode, .. } = histogram_prepare(&col, bins)
+            else {
+                return Err(TestCaseError::fail("expected a numeric sketch"));
+            };
+            prop_assert_eq!(mode_bits(&got_mode), mode);
+            prop_assert_eq!(numeric_parts(histogram(&col, bins)), (edges, counts, nulls));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn first_rows_of_matches_rows_of_prefix(
+        nrows in 120usize..600,
+        seed in any::<u64>(),
+    ) {
+        let (table, _) = planted(&PlantedConfig { nrows, seed, ..PlantedConfig::default() })
+            .unwrap();
+        let columns: Vec<String> =
+            table.schema().fields().iter().take(4).map(|f| f.name.clone()).collect();
+        let columns: Vec<&str> = columns.iter().map(String::as_str).collect();
+        let view = table.into();
+        let exact = MapperConfig { seed, sample_size: 100, ..MapperConfig::default() };
+        let map = build_map(&view, &columns, &exact).unwrap();
+        prop_assert!(!map.is_preview());
+        check_first_rows(&map)?;
+        let preview = MapperConfig { assign_preview: nrows / 2, ..exact };
+        let map = build_map(&view, &columns, &preview).unwrap();
+        prop_assert!(map.is_preview());
+        check_first_rows(&map)?;
     }
 }
