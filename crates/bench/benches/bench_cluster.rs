@@ -36,7 +36,7 @@ fn bench_clara(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_distance_matrix(c: &mut Criterion) {
+fn bench_gower_matrix(c: &mut Criterion) {
     let mut group = c.benchmark_group("cluster/distance_matrix");
     group.sample_size(10);
     for &n in &[500usize, 1000, 2000] {
@@ -134,7 +134,7 @@ criterion_group!(
     benches,
     bench_pam,
     bench_clara,
-    bench_distance_matrix,
+    bench_gower_matrix,
     bench_assign,
     bench_silhouette,
     bench_kselect,

@@ -22,7 +22,7 @@ use crate::error::{BlaeuError, Result};
 use crate::explorer::{Highlight, RegionDetail};
 use crate::map::DataMap;
 use crate::render::json::{highlight_to_json, map_to_json, themes_to_json};
-use crate::sketch::{SketchOp, SketchPartial, SketchResult};
+use crate::sketch::{SketchOp, SketchResult};
 use crate::themes::ThemeSet;
 
 /// One queued explorer action.
@@ -88,8 +88,7 @@ pub enum Command {
     /// Current history depth (fast, read-only).
     Depth,
     /// Run a mergeable sketch analysis over the current view (slow:
-    /// sweeps the data). In-process sessions run every shard locally; a
-    /// worker node runs only the shard range its coordinator assigned.
+    /// sweeps the data).
     Sketch(SketchOp),
 }
 
@@ -329,9 +328,6 @@ pub enum Response {
     /// A finalized sketch analysis (boxed: assignment labels and
     /// dependency matrices are large).
     Sketch(Box<SketchResult>),
-    /// A worker's partial sketch over its assigned shard range — merged
-    /// by a coordinator, never shown to an end client.
-    SketchPartial(Box<SketchPartial>),
 }
 
 impl Response {
@@ -415,8 +411,8 @@ impl Response {
             }
             Response::Depth(depth) => json!({"response": "depth", "depth": *depth}),
             Response::Sketch(result) => {
-                // A compact client-facing summary; the bit-exact payload
-                // lives in the partial form coordinators exchange.
+                // A compact client-facing summary; the digest covers the
+                // full result.
                 let summary = match result.as_ref() {
                     SketchResult::Dep(dm) => json!({"kind": "dep", "columns": dm.len()}),
                     SketchResult::Describe(s) => json!({"kind": "describe", "count": s.count()}),
@@ -426,9 +422,6 @@ impl Response {
                     }
                 };
                 json!({"response": "sketch", "sketch": summary})
-            }
-            Response::SketchPartial(partial) => {
-                json!({"response": "sketch_partial", "sketch_partial": partial.to_json()})
             }
         })
     }

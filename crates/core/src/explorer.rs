@@ -699,10 +699,6 @@ impl Explorer {
             Command::Breadcrumbs => Ok(Response::Breadcrumbs(self.breadcrumbs().to_vec())),
             Command::Depth => Ok(Response::Depth(self.depth())),
             Command::Sketch(op) => {
-                // In-process fan-out: plan locally, run every canonical
-                // shard, finalize — the exact sequence a coordinator
-                // replays across workers, so digests agree by
-                // construction.
                 let plan = op.plan(&self.current().view)?;
                 let partial = plan.run_range(0..plan.spec().shard_count(), 0);
                 Ok(Response::Sketch(Box::new(op.finalize(partial)?)))

@@ -1,33 +1,29 @@
-//! Serializable sketch operations — the distributed execution tier's
-//! unit of work.
+//! Mergeable sketch operations — the in-process combine behind
+//! `Command::Sketch`.
 //!
-//! Hillview-style fan-out: the naturally mergeable analyses (dependency
-//! matrix cells, describe/histogram summaries, CLARA assignment) are
-//! expressed as a [`SketchOp`] whose shard layout is a *pure function*
-//! of the op and row count, so a coordinator and N workers agree on
-//! shard boundaries without exchanging data. Each worker plans the op
-//! against its local table replica ([`SketchOp::plan`]), executes a
-//! contiguous shard range ([`SketchPlan::run_range`]) and returns a
-//! [`SketchPartial`]; partials merge **in shard order**
-//! ([`SketchPartial::merge`]) and finalize data-free
+//! The naturally mergeable analyses (dependency matrix cells,
+//! describe/histogram summaries, CLARA assignment) are expressed as a
+//! [`SketchOp`]. Planning an op against a view ([`SketchOp::plan`]) runs
+//! its deterministic phase-1 and fixes a canonical shard layout, a pure
+//! function of the op and the view's row count.
+//! [`SketchPlan::run_range`] executes a contiguous range of those shards
+//! and returns a [`SketchPartial`]; partials merge **in shard order**
+//! ([`SketchPartial::merge`]) and finalize without touching the data
 //! ([`SketchOp::finalize`]).
 //!
-//! The invariant the whole tier hangs on: merging worker partials in
-//! shard order replays the exact combine sequence of the in-process
-//! `par_shards` path, so the finalized result — every float bit — is
-//! identical to a single-node run. Float-carrying partials serialize
-//! each `f64` as its 16-digit hex bit pattern, so the wire round-trip
-//! preserves that identity exactly.
+//! The invariant: merging range partials in shard order replays the
+//! exact combine sequence of a full-range run, so however the shard space
+//! is grouped, the finalized result — every float bit — is identical.
 
-use serde_json::{json, Map, Value};
+use serde_json::{json, Value};
 
 use blaeu_cluster::{assign_shard, AssignPartial, Points};
 use blaeu_exec::{par_map_range_grained, ShardSpec};
 use blaeu_stats::{
-    dep_matrix_shard_spec, describe_kind, describe_shard, finalize_dep_cells, finalize_describe,
-    finalize_histogram, histogram_prepare, histogram_shard, merge_dep_cells, row_shard_spec,
-    ColumnSummary, DepMatrixSketch, DependencyMatrix, DependencyOptions, DescribeKind,
-    DescribePartial, Histogram, HistogramMode, HistogramPartial, HistogramSketch,
+    describe_kind, describe_shard, finalize_dep_cells, finalize_describe, finalize_histogram,
+    histogram_prepare, histogram_shard, merge_dep_cells, row_shard_spec, ColumnSummary,
+    DepMatrixSketch, DependencyMatrix, DependencyOptions, DescribeKind, DescribePartial, Histogram,
+    HistogramPartial, HistogramSketch,
 };
 use blaeu_store::TableView;
 
@@ -38,8 +34,8 @@ use crate::preprocess::{preprocess, MetricChoice, PreprocessConfig};
 /// A mergeable analysis, as data: what to compute, not where.
 ///
 /// Analysis parameters are pinned to the engine defaults (dependency
-/// options, Gower preprocessing) so every node derives the identical
-/// plan from its table replica.
+/// options, Gower preprocessing), so a plan depends only on the op and
+/// the view.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SketchOp {
     /// Pairwise dependency cells over the named columns
@@ -75,72 +71,6 @@ pub enum SketchOp {
     },
 }
 
-fn hex_of(v: f64) -> Value {
-    json!(format!("{:016x}", v.to_bits()))
-}
-
-fn f64_of_hex(v: &Value) -> Option<f64> {
-    let s = v.as_str()?;
-    if s.len() != 16 {
-        return None;
-    }
-    u64::from_str_radix(s, 16).ok().map(f64::from_bits)
-}
-
-fn hex_list(vals: &[f64]) -> Value {
-    Value::Array(vals.iter().map(|&v| hex_of(v)).collect())
-}
-
-fn parse_hex_list(value: Option<&Value>, what: &str) -> Result<Vec<f64>> {
-    value
-        .and_then(Value::as_array)
-        .ok_or_else(|| BlaeuError::Invalid(format!("sketch partial needs {what} array")))?
-        .iter()
-        .map(|v| {
-            f64_of_hex(v).ok_or_else(|| {
-                BlaeuError::Invalid(format!("{what} entries must be 16-digit hex bit patterns"))
-            })
-        })
-        .collect()
-}
-
-fn parse_usize(value: Option<&Value>, what: &str) -> Result<usize> {
-    value
-        .and_then(Value::as_u64)
-        .and_then(|v| usize::try_from(v).ok())
-        .ok_or_else(|| {
-            BlaeuError::Invalid(format!("sketch partial needs non-negative integer {what}"))
-        })
-}
-
-fn parse_count_map(
-    value: Option<&Value>,
-    what: &str,
-) -> Result<std::collections::BTreeMap<String, usize>> {
-    let obj = value
-        .and_then(Value::as_object)
-        .ok_or_else(|| BlaeuError::Invalid(format!("sketch partial needs {what} count object")))?;
-    let mut counts = std::collections::BTreeMap::new();
-    for (label, c) in obj.iter() {
-        let c = c
-            .as_u64()
-            .and_then(|v| usize::try_from(v).ok())
-            .ok_or_else(|| {
-                BlaeuError::Invalid(format!("{what} counts must be non-negative integers"))
-            })?;
-        counts.insert(label.clone(), c);
-    }
-    Ok(counts)
-}
-
-fn count_map_json(counts: &std::collections::BTreeMap<String, usize>) -> Value {
-    let mut obj = Map::new();
-    for (label, &c) in counts {
-        obj.insert(label.clone(), json!(c));
-    }
-    Value::Object(obj)
-}
-
 /// Parses a wire column list with the same bounds as `Command`'s
 /// `project` list.
 fn parse_columns(value: Option<&Value>, what: &str) -> Result<Vec<String>> {
@@ -167,28 +97,19 @@ fn parse_columns(value: Option<&Value>, what: &str) -> Result<Vec<String>> {
 }
 
 impl SketchOp {
-    /// The canonical shard layout of this op over `nrows` local rows — a
-    /// pure function (no data), so coordinator and workers agree on
-    /// boundaries. Dependency sweeps shard the column-pair space
-    /// (independent of `nrows`); the row sketches shard rows at the
-    /// executor's reduce grain.
-    pub fn shard_spec(&self, nrows: usize) -> ShardSpec {
-        match self {
-            SketchOp::DepMatrix { columns } => dep_matrix_shard_spec(columns.len()),
-            SketchOp::Describe { .. }
-            | SketchOp::Histogram { .. }
-            | SketchOp::ClaraAssign { .. } => row_shard_spec(nrows),
-        }
-    }
+    /// Most bins a histogram op may ask for. The bin layout is allocated
+    /// up front, and a failed allocation aborts the process instead of
+    /// unwinding, so the request is refused before planning starts.
+    pub const MAX_HISTOGRAM_BINS: usize = 1024;
 
-    /// Plans the op against a local table replica: validates columns and
-    /// runs the op's deterministic phase-1 (pair discretization, bin
-    /// layout, point preprocessing). Every replica derives the identical
-    /// plan.
+    /// Plans the op against a view: validates columns and runs the op's
+    /// deterministic phase-1 (pair discretization, bin layout, point
+    /// preprocessing).
     ///
     /// # Errors
-    /// Unknown columns, empty views (for the point-based op) and
-    /// out-of-range medoids surface as typed errors.
+    /// Unknown columns, empty views (for the point-based op),
+    /// out-of-range medoids and histograms of more than
+    /// [`SketchOp::MAX_HISTOGRAM_BINS`] bins surface as typed errors.
     pub fn plan(&self, view: &TableView) -> Result<SketchPlan> {
         match self {
             SketchOp::DepMatrix { columns } => {
@@ -207,6 +128,12 @@ impl SketchOp {
                 })
             }
             SketchOp::Histogram { column, bins } => {
+                if *bins > Self::MAX_HISTOGRAM_BINS {
+                    return Err(BlaeuError::Invalid(format!(
+                        "histogram of {bins} bins exceeds the {}-bin limit",
+                        Self::MAX_HISTOGRAM_BINS
+                    )));
+                }
                 let col = view.col_by_name(column)?;
                 let sketch = histogram_prepare(&col, *bins);
                 Ok(SketchPlan::Histogram {
@@ -239,12 +166,11 @@ impl SketchOp {
     }
 
     /// Finalizes a fully merged partial into the analysis result. Needs
-    /// no table data — this is the coordinator's half of the contract.
+    /// no table data.
     ///
     /// # Errors
     /// A partial whose shape does not match the op (wrong kind, wrong
-    /// cell count) is a typed error, never a panic: the coordinator
-    /// feeds this remote data.
+    /// cell count) is a typed error, never a panic.
     pub fn finalize(&self, partial: SketchPartial) -> Result<SketchResult> {
         match (self, partial) {
             (SketchOp::DepMatrix { columns }, SketchPartial::Dep(cells)) => {
@@ -390,16 +316,15 @@ impl SketchOp {
     }
 }
 
-/// A planned sketch op, bound to a local table replica: phase-1 state
-/// plus everything `run_shard` needs. Workers cache plans across shard
-/// requests of the same op.
+/// A planned sketch op, bound to a view: phase-1 state plus everything
+/// [`SketchPlan::run_range`] needs.
 #[derive(Debug, Clone)]
 pub enum SketchPlan {
     /// Dependency sweep: discretized columns and the pair list.
     Dep(DepMatrixSketch),
     /// Describe sweep over one column of the view.
     Describe {
-        /// The table replica.
+        /// The view being summarized.
         view: TableView,
         /// Column to summarize.
         column: String,
@@ -411,7 +336,7 @@ pub enum SketchPlan {
     },
     /// Histogram sweep over one column of the view.
     Histogram {
-        /// The table replica.
+        /// The view being summarized.
         view: TableView,
         /// Column to bin.
         column: String,
@@ -428,8 +353,8 @@ pub enum SketchPlan {
 }
 
 impl SketchPlan {
-    /// The plan's canonical shard layout — identical to
-    /// [`SketchOp::shard_spec`] for the replica's row count.
+    /// The plan's canonical shard layout: dependency sweeps shard the
+    /// column-pair space, the row sketches shard rows.
     pub fn spec(&self) -> ShardSpec {
         match self {
             SketchPlan::Dep(sketch) => sketch.shard_spec().clone(),
@@ -440,25 +365,10 @@ impl SketchPlan {
         }
     }
 
-    /// The identity partial — the merge seed, and what an empty shard
-    /// range returns.
-    pub fn empty_partial(&self) -> SketchPartial {
-        match self {
-            SketchPlan::Dep(_) => SketchPartial::Dep(Vec::new()),
-            SketchPlan::Describe { kind, .. } => {
-                SketchPartial::Describe(DescribePartial::empty(*kind))
-            }
-            SketchPlan::Histogram { sketch, .. } => {
-                SketchPartial::Histogram(HistogramPartial::empty(sketch))
-            }
-            SketchPlan::Assign { .. } => SketchPartial::Assign(AssignPartial::empty()),
-        }
-    }
-
     /// Executes a contiguous range of canonical shards on `threads`
     /// workers (0 = all cores) and merges the per-shard partials in
-    /// shard order — the worker's half of the contract. `run_range` over
-    /// the full shard range is bit-identical to the in-process analysis.
+    /// shard order. `run_range` over the full shard range is
+    /// bit-identical to the direct analysis.
     ///
     /// # Panics
     /// Panics if the range exceeds the plan's shard count.
@@ -544,9 +454,8 @@ impl SketchPartial {
     }
 
     /// Merges the next shard range's partial into this one, in shard
-    /// order. Fallible, never panicking: the coordinator merges partials
-    /// that crossed the wire, so kind or layout mismatches (a divergent
-    /// or hostile worker) surface as typed errors.
+    /// order. Fallible, never panicking: kind or layout mismatches
+    /// surface as typed errors.
     ///
     /// # Errors
     /// Returns [`BlaeuError::Invalid`] when the partials cannot merge.
@@ -585,164 +494,9 @@ impl SketchPartial {
             ))),
         }
     }
-
-    /// Serializes the partial for the wire. Floats travel as 16-digit
-    /// hex bit patterns, so a JSON round-trip preserves every bit and
-    /// coordinator-side merges stay identical to in-process merges.
-    pub fn to_json(&self) -> Value {
-        match self {
-            SketchPartial::Dep(cells) => json!({"partial": "dep", "cells": hex_list(cells)}),
-            SketchPartial::Describe(DescribePartial::Numeric { values, nulls }) => {
-                json!({"partial": "describe_numeric", "values": hex_list(values), "nulls": *nulls})
-            }
-            SketchPartial::Describe(DescribePartial::Categorical { counts, nulls }) => {
-                json!({"partial": "describe_categorical", "counts": count_map_json(counts), "nulls": *nulls})
-            }
-            SketchPartial::Histogram(HistogramPartial::Numeric {
-                mode,
-                counts,
-                nulls,
-            }) => {
-                let mode = match mode {
-                    HistogramMode::Empty => json!({"kind": "empty"}),
-                    HistogramMode::Flat { lo, hi } => {
-                        json!({"kind": "flat", "lo": hex_of(*lo), "hi": hex_of(*hi)})
-                    }
-                    HistogramMode::Binned { lo, hi, nbins } => {
-                        json!({"kind": "binned", "lo": hex_of(*lo), "hi": hex_of(*hi), "nbins": *nbins})
-                    }
-                };
-                json!({"partial": "histogram_numeric", "mode": mode, "counts": counts, "nulls": *nulls})
-            }
-            SketchPartial::Histogram(HistogramPartial::Categorical { counts, nulls }) => {
-                json!({"partial": "histogram_categorical", "counts": count_map_json(counts), "nulls": *nulls})
-            }
-            SketchPartial::Assign(AssignPartial { labels, totals }) => {
-                json!({"partial": "assign", "labels": labels, "totals": hex_list(totals)})
-            }
-        }
-    }
-
-    /// Parses a partial from its wire object, validating shape and
-    /// bounds — this is the coordinator's trust boundary with workers.
-    ///
-    /// # Errors
-    /// Returns [`BlaeuError::Invalid`] for unknown or malformed partials.
-    pub fn from_json(value: &Value) -> Result<SketchPartial> {
-        let tag = value
-            .get("partial")
-            .and_then(Value::as_str)
-            .ok_or_else(|| {
-                BlaeuError::Invalid("sketch partial needs a \"partial\" field".into())
-            })?;
-        Ok(match tag {
-            "dep" => SketchPartial::Dep(parse_hex_list(value.get("cells"), "cells")?),
-            "describe_numeric" => SketchPartial::Describe(DescribePartial::Numeric {
-                values: parse_hex_list(value.get("values"), "values")?,
-                nulls: parse_usize(value.get("nulls"), "nulls")?,
-            }),
-            "describe_categorical" => SketchPartial::Describe(DescribePartial::Categorical {
-                counts: parse_count_map(value.get("counts"), "describe")?,
-                nulls: parse_usize(value.get("nulls"), "nulls")?,
-            }),
-            "histogram_numeric" => {
-                let mode_value = value.get("mode").ok_or_else(|| {
-                    BlaeuError::Invalid("histogram partial needs a \"mode\" object".into())
-                })?;
-                let kind = mode_value
-                    .get("kind")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| {
-                        BlaeuError::Invalid("histogram mode needs a \"kind\" field".into())
-                    })?;
-                let edge = |field: &str| -> Result<f64> {
-                    f64_of_hex(mode_value.get(field).unwrap_or(&Value::Null)).ok_or_else(|| {
-                        BlaeuError::Invalid(format!(
-                            "histogram mode field {field:?} must be a hex bit pattern"
-                        ))
-                    })
-                };
-                let mode = match kind {
-                    "empty" => HistogramMode::Empty,
-                    "flat" => HistogramMode::Flat {
-                        lo: edge("lo")?,
-                        hi: edge("hi")?,
-                    },
-                    "binned" => HistogramMode::Binned {
-                        lo: edge("lo")?,
-                        hi: edge("hi")?,
-                        nbins: parse_usize(mode_value.get("nbins"), "nbins")?,
-                    },
-                    other => {
-                        return Err(BlaeuError::Invalid(format!(
-                            "unknown histogram mode {other:?}"
-                        )))
-                    }
-                };
-                let counts = value
-                    .get("counts")
-                    .and_then(Value::as_array)
-                    .ok_or_else(|| {
-                        BlaeuError::Invalid("histogram partial needs a counts array".into())
-                    })?
-                    .iter()
-                    .map(|c| {
-                        c.as_u64()
-                            .and_then(|v| usize::try_from(v).ok())
-                            .ok_or_else(|| {
-                                BlaeuError::Invalid("histogram counts must be integers".into())
-                            })
-                    })
-                    .collect::<Result<Vec<usize>>>()?;
-                if counts.len() != mode.bin_count() {
-                    return Err(BlaeuError::Invalid(format!(
-                        "histogram partial has {} counts for a {}-bin layout",
-                        counts.len(),
-                        mode.bin_count()
-                    )));
-                }
-                SketchPartial::Histogram(HistogramPartial::Numeric {
-                    mode,
-                    counts,
-                    nulls: parse_usize(value.get("nulls"), "nulls")?,
-                })
-            }
-            "histogram_categorical" => SketchPartial::Histogram(HistogramPartial::Categorical {
-                counts: parse_count_map(value.get("counts"), "histogram")?,
-                nulls: parse_usize(value.get("nulls"), "nulls")?,
-            }),
-            "assign" => {
-                let labels = value
-                    .get("labels")
-                    .and_then(Value::as_array)
-                    .ok_or_else(|| {
-                        BlaeuError::Invalid("assign partial needs a labels array".into())
-                    })?
-                    .iter()
-                    .map(|l| {
-                        l.as_u64()
-                            .and_then(|v| usize::try_from(v).ok())
-                            .ok_or_else(|| {
-                                BlaeuError::Invalid("assign labels must be integers".into())
-                            })
-                    })
-                    .collect::<Result<Vec<usize>>>()?;
-                SketchPartial::Assign(AssignPartial {
-                    labels,
-                    totals: parse_hex_list(value.get("totals"), "totals")?,
-                })
-            }
-            other => {
-                return Err(BlaeuError::Invalid(format!(
-                    "unknown sketch partial {other:?}"
-                )))
-            }
-        })
-    }
 }
 
-/// The finalized result of a sketch op — what a coordinator (or the
-/// in-process engine) hands back once every partial has merged.
+/// The finalized result of a sketch op, once every partial has merged.
 #[derive(Debug, Clone)]
 pub enum SketchResult {
     /// The dependency matrix.
@@ -838,7 +592,7 @@ mod tests {
     }
 
     #[test]
-    fn split_ranges_merge_bit_identical_to_full_run() {
+    fn split_shard_ranges_merge_bit_identical_to_full_run() {
         let view = view();
         for op in ops() {
             let plan = op.plan(&view).unwrap();
@@ -858,23 +612,6 @@ mod tests {
                     "op {op:?} cut {cut}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn partials_round_trip_through_json() {
-        let view = view();
-        for op in ops() {
-            let plan = op.plan(&view).unwrap();
-            let spec = plan.spec();
-            let partial = plan.run_range(0..spec.shard_count(), 0);
-            let wire = partial.to_json();
-            let back = SketchPartial::from_json(&wire).unwrap();
-            assert_eq!(
-                format!("{:?}", op.finalize(partial).unwrap()),
-                format!("{:?}", op.finalize(back).unwrap()),
-                "wire round-trip changed bits for {op:?}"
-            );
         }
     }
 
@@ -945,16 +682,18 @@ mod tests {
     }
 
     #[test]
-    fn hostile_partial_json_rejected() {
-        for bad in [
-            json!({}),
-            json!({"partial": "dep", "cells": ["zz"]}),
-            json!({"partial": "dep", "cells": [1.5]}),
-            json!({"partial": "describe_numeric", "values": Vec::<Value>::new(), "nulls": -1i64}),
-            json!({"partial": "histogram_numeric", "mode": json!({"kind": "binned", "lo": "0000000000000000", "hi": "3ff0000000000000", "nbins": 4}), "counts": [1, 2], "nulls": 0}),
-            json!({"partial": "assign", "labels": [0], "totals": "nope"}),
-        ] {
-            assert!(SketchPartial::from_json(&bad).is_err(), "accepted {bad:?}");
+    fn oversized_histograms_are_refused_before_planning() {
+        let view = view();
+        let op = |bins| SketchOp::Histogram {
+            column: "y".into(),
+            bins,
+        };
+        assert!(op(SketchOp::MAX_HISTOGRAM_BINS).plan(&view).is_ok());
+        for bins in [SketchOp::MAX_HISTOGRAM_BINS + 1, 1 << 40, usize::MAX] {
+            match op(bins).plan(&view) {
+                Err(BlaeuError::Invalid(message)) => assert!(message.contains("bins"), "{message}"),
+                other => panic!("{bins} bins planned: {other:?}"),
+            }
         }
     }
 }

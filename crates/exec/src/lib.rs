@@ -13,8 +13,9 @@
 //!    `BLAEU_THREADS` environment variable.
 //! 2. **Deterministic results.** [`par_map`] / [`par_map_range`] return
 //!    results in input order regardless of how work was chunked, and
-//!    [`par_reduce`] folds over *fixed-size* grains whose combine order
-//!    depends only on the input length — so floating-point reductions are
+//!    [`par_shards`] returns per-shard results in shard order over a
+//!    [`ShardSpec`] whose layout depends only on the input length — so
+//!    floating-point reductions that combine shards in order are
 //!    bit-identical for `threads = 1` and `threads = N`.
 //! 3. **No oversubscription.** Code running inside an executor worker is
 //!    flagged ([`in_parallel_region`]); any nested executor call degrades
@@ -48,9 +49,9 @@
 //! thread budget. Each shard becomes one steal-queue grain, and per-shard
 //! results come back in shard order, so shard-grained reductions (e.g.
 //! summing per-shard deviations) are bit-identical across thread counts.
-//! This is the single-node half of the ROADMAP's cross-node sharding
-//! story: a `ShardSpec` describes the partition independently of who
-//! executes it.
+//! The sketch ops in `blaeu-core` build on this: a contiguous range of
+//! shards can run on its own and merge with its neighbours in shard
+//! order, bit-identical to the full run.
 //!
 //! Worker panics are propagated to the caller with their original payload
 //! after all sibling workers have finished.
@@ -74,11 +75,10 @@ use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-/// Fold grain for [`par_reduce`]: partial results are computed per
-/// `REDUCE_GRAIN`-sized slice of the index range and combined in grain
-/// order, which makes the combine tree a function of the input length
-/// only — never of the thread count. Public so callers building
-/// collection-typed accumulators can pre-size them to the grain.
+/// Shard size of the row-sharded reductions: CLARA's whole-dataset
+/// assignment and the row sketches (`describe`, `histogram`) size their
+/// [`ShardSpec`]s with it, so their combine order is a function of the
+/// row count only — never of the thread count.
 pub const REDUCE_GRAIN: usize = 1024;
 
 /// Target number of steal-queue grains *per worker* for the adaptive
@@ -341,9 +341,8 @@ where
 /// The layout is a pure function of `(items, shard_size)` — constructors
 /// never consult [`thread_budget`] — so anything accumulated *per shard
 /// in shard order* (labels, deviation sums, figure outputs) is
-/// bit-identical whatever the parallelism. A `ShardSpec` is also the
-/// unit blaeu will hand to remote executor groups once the cross-node
-/// tier exists: it describes *what* a shard covers, not *who* runs it.
+/// bit-identical whatever the parallelism: it describes *what* a shard
+/// covers, not *who* runs it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardSpec {
     items: usize,
@@ -395,49 +394,6 @@ where
     F: Fn(usize, std::ops::Range<usize>) -> R + Sync,
 {
     par_map_range_grained(spec.shard_count(), threads, 1, |s| f(s, spec.range(s)))
-}
-
-/// Parallel fold over the index range `0..n` with **thread-count-independent
-/// results**.
-///
-/// The range is split into fixed-size grains ([`REDUCE_GRAIN`]); each grain
-/// is folded sequentially with `fold` starting from `identity()`, and grain
-/// results are combined **in grain order** with `combine`. Because the
-/// grain layout depends only on `n`, the full combine tree — and therefore
-/// every floating-point rounding — is identical for any thread count.
-pub fn par_reduce<A, I, F, C>(n: usize, threads: usize, identity: I, fold: F, combine: C) -> A
-where
-    A: Send,
-    I: Fn() -> A + Sync,
-    F: Fn(A, usize) -> A + Sync,
-    C: Fn(A, A) -> A,
-{
-    let grains = n.div_ceil(REDUCE_GRAIN).max(1);
-    // Resolve once: the budget is a process-global that another thread may
-    // change concurrently, and run_chunked requires the count it was
-    // handed to still be > 1.
-    let t = resolve_threads(threads, grains);
-    let partials = if t <= 1 {
-        (0..grains)
-            .map(|g| fold_grain(n, g, &identity, &fold))
-            .collect::<Vec<A>>()
-    } else {
-        run_chunked(grains, t, |g| fold_grain(n, g, &identity, &fold))
-    };
-    partials
-        .into_iter()
-        .reduce(combine)
-        .unwrap_or_else(identity)
-}
-
-fn fold_grain<A, I, F>(n: usize, grain: usize, identity: &I, fold: &F) -> A
-where
-    I: Fn() -> A,
-    F: Fn(A, usize) -> A,
-{
-    let start = grain * REDUCE_GRAIN;
-    let end = (start + REDUCE_GRAIN).min(n);
-    (start..end).fold(identity(), fold)
 }
 
 /// Splits `data` at the given interior `boundaries` (ascending offsets into
@@ -550,32 +506,6 @@ mod tests {
             let parallel = par_map(&items, threads, |i, &x| x * i as f64);
             assert_eq!(serial, parallel, "threads={threads}");
         }
-    }
-
-    #[test]
-    fn par_reduce_bit_identical_across_thread_counts() {
-        // Floating-point sums are order-sensitive; the fixed grain makes
-        // them bit-identical for every thread count.
-        let n = 10_000;
-        let value = |i: usize| ((i as f64) * 0.7).sin() / (i as f64 + 1.0);
-        let sum =
-            |threads| par_reduce(n, threads, || 0.0f64, |acc, i| acc + value(i), |a, b| a + b);
-        let reference = sum(1);
-        for threads in [2, 3, 4, 7, 8, 16] {
-            assert_eq!(
-                reference.to_bits(),
-                sum(threads).to_bits(),
-                "threads={threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn par_reduce_empty_and_tiny() {
-        let zero = par_reduce(0, 4, || 0usize, |a, i| a + i, |a, b| a + b);
-        assert_eq!(zero, 0);
-        let three = par_reduce(3, 4, || 0usize, |a, i| a + i, |a, b| a + b);
-        assert_eq!(three, 3);
     }
 
     #[test]

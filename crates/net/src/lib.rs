@@ -15,9 +15,8 @@
 //! | `POST /sessions/:id/commands/batch` | NDJSON pipeline: one command per line in, one response line out per resolved command (streamed chunked); a `map_progressive` line answers its coarse level-0 map first and then streams one `"kind":"delta"` line per refinement rung until `"final":true` |
 //! | `GET /sessions/:id/history`         | the session's journal, streamed as NDJSON (one record per line) |
 //! | `DELETE /sessions/:id`              | close the session |
-//! | `POST /shards/:table/commands`      | worker role: run a `sketch` command over a shard range of a registered table replica (body = `Command` envelope + `"shard": {"start", "end", "items"}`), answering the partial sketch with a digest |
 //! | `GET /healthz`                      | liveness + session count |
-//! | `GET /stats`                        | aggregates only: cache hit/miss/bytes, journal counters, request counters, shard-role counters, progressive counters (`levels_streamed`, `rungs_cancelled`, `coarse_hits`) with a per-level latency histogram |
+//! | `GET /stats`                        | aggregates only: cache hit/miss/bytes, journal counters, request counters, progressive counters (`levels_streamed`, `rungs_cancelled`, `coarse_hits`) with a per-level latency histogram |
 //!
 //! Every non-2xx response has one body shape:
 //! `{"error": {"code", "message", "detail"?}}` — `code` is a stable
@@ -66,10 +65,10 @@ use std::time::Duration;
 use parking_lot::Mutex;
 use serde_json::{json, Value};
 
-use blaeu_core::{BlaeuError, Command, ExplorerConfig, Response, SketchPlan};
+use blaeu_core::{BlaeuError, Command, ExplorerConfig, Response};
 use blaeu_exec::{JobHandle, JobPool};
 use blaeu_server::AsyncSessionServer;
-use blaeu_store::{Table, TableView};
+use blaeu_store::Table;
 
 use http::{read_request, write_response, ChunkedWriter, HttpError, Request};
 
@@ -105,10 +104,9 @@ impl Default for NetConfig {
     }
 }
 
-/// Power-of-two latency buckets for shard-range executions: bucket `b`
-/// counts requests whose wall clock was in `[2^(b-1), 2^b)` µs (bucket 0
-/// is `< 1 µs`), the same log2 layout the replay harness uses. Lock-free
-/// so the hot shard path never serializes on a stats mutex.
+/// Power-of-two latency buckets: bucket `b` counts samples whose wall
+/// clock was in `[2^(b-1), 2^b)` µs (bucket 0 is `< 1 µs`). Lock-free so
+/// connection workers never serialize on a stats mutex.
 struct LatencyRecorder {
     buckets: [AtomicU64; LatencyRecorder::BUCKETS],
     count: AtomicU64,
@@ -135,7 +133,7 @@ impl LatencyRecorder {
 
     fn to_json(&self) -> Value {
         // Trailing all-zero buckets carry no information; trim them so
-        // the stats body stays small on idle workers.
+        // the stats body stays small on an idle server.
         let counts: Vec<u64> = self
             .buckets
             .iter()
@@ -146,42 +144,6 @@ impl LatencyRecorder {
             "count": self.count.load(Ordering::Relaxed),
             "total_us": self.total_us.load(Ordering::Relaxed),
             "log2_us_buckets": counts[..used].to_vec(),
-        })
-    }
-}
-
-/// Shard-role counters: what this node did as a fan-out worker.
-struct ShardStats {
-    /// Partial sketches served (successful shard-range executions).
-    partials_served: AtomicU64,
-    /// Bytes of partial-sketch response bodies shipped to coordinators.
-    merge_bytes_out: AtomicU64,
-    /// Shard requests answered from the cached plan.
-    plan_hits: AtomicU64,
-    /// Shard requests that had to re-plan (first op, or op changed).
-    plan_misses: AtomicU64,
-    /// Wall clock of shard-range executions.
-    latency: LatencyRecorder,
-}
-
-impl ShardStats {
-    fn new() -> ShardStats {
-        ShardStats {
-            partials_served: AtomicU64::new(0),
-            merge_bytes_out: AtomicU64::new(0),
-            plan_hits: AtomicU64::new(0),
-            plan_misses: AtomicU64::new(0),
-            latency: LatencyRecorder::new(),
-        }
-    }
-
-    fn to_json(&self) -> Value {
-        json!({
-            "partials_served": self.partials_served.load(Ordering::Relaxed),
-            "merge_bytes_out": self.merge_bytes_out.load(Ordering::Relaxed),
-            "plan_hits": self.plan_hits.load(Ordering::Relaxed),
-            "plan_misses": self.plan_misses.load(Ordering::Relaxed),
-            "latency": self.latency.to_json(),
         })
     }
 }
@@ -199,17 +161,9 @@ struct NetShared {
     requests: AtomicU64,
     /// Responses with a 4xx/5xx status.
     rejected: AtomicU64,
-    /// Shard-role counters.
-    shard: ShardStats,
     /// Wall clock from a `map_progressive` submit to each streamed
-    /// level (level 0 included) — "time to level k" in the same log2-µs
-    /// buckets the shard path uses.
+    /// level (level 0 included) — "time to level k" in log2-µs buckets.
     progressive_latency: LatencyRecorder,
-    /// One-entry plan cache keyed by `(table, op wire JSON)`: a
-    /// coordinator fans the *same* op at a worker many times (one request
-    /// per shard range), so the op's phase-1 (discretization, bin
-    /// layout, point preprocessing) runs once, not per range.
-    plan_cache: Mutex<Option<(String, String, Arc<SketchPlan>)>>,
 }
 
 /// The HTTP/NDJSON front-end over one [`AsyncSessionServer`] (see the
@@ -259,9 +213,7 @@ impl NetServer {
             shutdown: AtomicBool::new(false),
             requests: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
-            shard: ShardStats::new(),
             progressive_latency: LatencyRecorder::new(),
-            plan_cache: Mutex::new(None),
         });
         let accept_pool = Arc::new(JobPool::new(1));
         let accept_handle = {
@@ -472,7 +424,6 @@ enum Route {
     SessionCommands(u64),
     SessionBatch(u64),
     SessionHistory(u64),
-    ShardCommands(String),
     Unknown,
 }
 
@@ -488,7 +439,6 @@ fn route(path: &str) -> Route {
             id.parse().map_or(Route::Unknown, Route::SessionBatch)
         }
         ["sessions", id, "history"] => id.parse().map_or(Route::Unknown, Route::SessionHistory),
-        ["shards", table, "commands"] => Route::ShardCommands((*table).to_owned()),
         _ => Route::Unknown,
     }
 }
@@ -644,7 +594,6 @@ fn respond<W: Write>(
                 "rejected": shared.rejected.load(Ordering::Relaxed),
                 "conn_workers": shared.conn_workers,
                 "engine_workers": shared.engine.pool().workers(),
-                "shard": shared.shard.to_json(),
                 "progressive": json!({
                     "levels_streamed": progressive.levels_streamed,
                     "rungs_cancelled": progressive.rungs_cancelled,
@@ -677,9 +626,6 @@ fn respond<W: Write>(
             run_command(shared, id, request, writer, keep_alive)
         }
         ("POST", Route::SessionBatch(id)) => run_batch(shared, id, request, writer, keep_alive),
-        ("POST", Route::ShardCommands(table)) => {
-            run_shard_command(shared, &table, request, writer, keep_alive)
-        }
         ("DELETE", Route::Session(id)) => match shared.engine.close(id) {
             Ok(()) => send_json(
                 shared,
@@ -932,174 +878,6 @@ fn run_command<W: Write>(
         ),
         Err(error) => send_engine_error(shared, writer, &error, keep_alive),
     }
-}
-
-/// `POST /shards/:table/commands`: the worker role. The body is the v1
-/// `Command` envelope (which must be a `sketch` command) plus a
-/// `"shard": {"start", "end", "items"}` range naming which contiguous
-/// run of shards this worker should execute against its registered
-/// table replica. The reply is the partial sketch — shard-order
-/// mergeable, bit-exact on the wire (f64s travel as bit patterns) —
-/// enveloped with a digest.
-///
-/// `items` is the item count the coordinator derived from the shared
-/// shard layout; a replica whose plan disagrees answers a typed
-/// `invalid` error rather than a silently misaligned partial.
-fn run_shard_command<W: Write>(
-    shared: &Arc<NetShared>,
-    name: &str,
-    request: &Request,
-    writer: &mut W,
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    let started = std::time::Instant::now();
-    let body: Value = match serde_json::from_slice(&request.body) {
-        Ok(value) => value,
-        Err(e) => {
-            return send_json(
-                shared,
-                writer,
-                400,
-                "Bad Request",
-                &error_body("bad_request", format!("malformed JSON: {e}"), None),
-                keep_alive,
-                &[],
-            )
-        }
-    };
-    let spec_of = |field: &str| body.get("shard").and_then(|s| s.get(field)?.as_u64());
-    let (Some(start), Some(end), Some(items)) =
-        (spec_of("start"), spec_of("end"), spec_of("items"))
-    else {
-        return send_json(
-            shared,
-            writer,
-            400,
-            "Bad Request",
-            &error_body(
-                "bad_request",
-                "body needs \"shard\": {\"start\", \"end\", \"items\"} (non-negative integers)",
-                None,
-            ),
-            keep_alive,
-            &[],
-        );
-    };
-    let command = match Command::from_json(&body) {
-        Ok(command) => command,
-        Err(error) => {
-            return send_json(
-                shared,
-                writer,
-                400,
-                "Bad Request",
-                &error_body("bad_request", error.to_string(), None),
-                keep_alive,
-                &[],
-            )
-        }
-    };
-    let Command::Sketch(op) = command else {
-        let error = BlaeuError::Invalid(
-            "the shard surface accepts only sketch commands; open a session for everything else"
-                .to_owned(),
-        );
-        return send_engine_error(shared, writer, &error, keep_alive);
-    };
-    // Same one-lock-scope lookup as `POST /sessions`: the table, or the
-    // sorted names for the 404.
-    let looked_up = {
-        let tables = shared.tables.lock();
-        tables.get(name).cloned().ok_or_else(|| {
-            let mut names: Vec<String> = tables.keys().cloned().collect();
-            names.sort_unstable();
-            names
-        })
-    };
-    let table = match looked_up {
-        Ok(table) => table,
-        Err(known) => {
-            return send_json(
-                shared,
-                writer,
-                404,
-                "Not Found",
-                &error_body(
-                    "unknown_table",
-                    format!("unknown table {name:?}"),
-                    Some(json!({"tables": known})),
-                ),
-                keep_alive,
-                &[],
-            )
-        }
-    };
-    // Planning (theme-free: discretizer fits, Gower preprocessing) is
-    // the expensive replicated step, so a one-entry cache keyed by
-    // (table, op wire JSON) makes a coordinator's N range requests for
-    // the same op plan once.
-    let key = wire_text(&op.to_json());
-    let cached = {
-        let cache = shared.plan_cache.lock();
-        cache
-            .as_ref()
-            .and_then(|(t, k, plan)| (t == name && *k == key).then(|| Arc::clone(plan)))
-    };
-    let plan = match cached {
-        Some(plan) => {
-            shared.shard.plan_hits.fetch_add(1, Ordering::Relaxed);
-            plan
-        }
-        None => {
-            shared.shard.plan_misses.fetch_add(1, Ordering::Relaxed);
-            let view = TableView::new(Arc::clone(&table));
-            let plan = match op.plan(&view) {
-                Ok(plan) => Arc::new(plan),
-                Err(error) => return send_engine_error(shared, writer, &error, keep_alive),
-            };
-            let mut cache = shared.plan_cache.lock();
-            *cache = Some((name.to_owned(), key, Arc::clone(&plan)));
-            plan
-        }
-    };
-    let spec = plan.spec();
-    let (start, end, items) = (start as usize, end as usize, items as usize);
-    if spec.items() != items {
-        let error = BlaeuError::Invalid(format!(
-            "replica disagrees on shard layout: coordinator sent {} items, local plan has {}",
-            items,
-            spec.items()
-        ));
-        return send_engine_error(shared, writer, &error, keep_alive);
-    }
-    if start > end || end > spec.shard_count() {
-        let error = BlaeuError::Invalid(format!(
-            "shard range {}..{} out of bounds for {} shards",
-            start,
-            end,
-            spec.shard_count()
-        ));
-        return send_engine_error(shared, writer, &error, keep_alive);
-    }
-    let partial = plan.run_range(start..end, 0);
-    let body = envelope(&Response::SketchPartial(Box::new(partial)));
-    let text = wire_text(&body);
-    shared.shard.partials_served.fetch_add(1, Ordering::Relaxed);
-    shared
-        .shard
-        .merge_bytes_out
-        .fetch_add(text.len() as u64, Ordering::Relaxed);
-    let micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-    shared.shard.latency.record(micros);
-    write_response(
-        writer,
-        200,
-        "OK",
-        "application/json",
-        text.as_bytes(),
-        keep_alive,
-        &[],
-    )
 }
 
 /// `POST /sessions/:id/commands/batch`: NDJSON in, NDJSON out, streamed.

@@ -33,11 +33,9 @@
 #![warn(missing_docs)]
 
 pub mod cache;
-pub mod dist;
 pub mod journal;
 
 pub use cache::{AnalysisCache, CacheStats};
-pub use dist::{split_ranges, CoordStats, ShardCoordinator, WorkerClient};
 pub use journal::{
     journal_file_id, journal_path, read_journal, FsyncPolicy, JournalDefect, JournalRecord,
     JournalStats, ReadJournal, RecordedOutcome, SessionJournal,

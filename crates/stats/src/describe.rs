@@ -136,8 +136,7 @@ pub fn sort_total(values: &mut [f64]) {
 
 /// The canonical row shard layout for row-sharded column sketches
 /// (describe, histogram, CLARA assignment): a pure function of the row
-/// count — never of the thread or worker count — so every node agrees
-/// on shard boundaries.
+/// count — never of the thread count.
 pub fn row_shard_spec(rows: usize) -> blaeu_exec::ShardSpec {
     blaeu_exec::ShardSpec::with_shard_size(rows, blaeu_exec::REDUCE_GRAIN)
 }
@@ -271,8 +270,7 @@ pub fn describe_shard<C: ColumnRead>(column: &C, rows: std::ops::Range<usize>) -
 }
 
 /// Finalizes a fully merged describe partial into the column summary.
-/// Needs no column data, so a coordinator can finalize merged worker
-/// partials.
+/// Needs no column data.
 pub fn finalize_describe(partial: DescribePartial, top_k: usize) -> ColumnSummary {
     match partial {
         DescribePartial::Numeric { mut values, nulls } => {
@@ -331,7 +329,7 @@ pub fn finalize_describe(partial: DescribePartial, top_k: usize) -> ColumnSummar
 ///
 /// Routed through the describe sketch as one shard spanning every row:
 /// its single gather is the concatenation, in row order, that merging
-/// the canonical row shards of a distributed run rebuilds (and counts
+/// the canonical row shards of a sharded sketch rebuilds (and counts
 /// add exactly), so the result is bit-identical either way.
 pub fn describe<C: ColumnRead>(column: &C, top_k: usize) -> ColumnSummary {
     finalize_describe(describe_shard(column, 0..column.len()), top_k)

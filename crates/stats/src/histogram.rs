@@ -66,9 +66,8 @@ impl Histogram {
 
 /// The numeric bin layout settled by the histogram's phase-1 scan.
 ///
-/// Every worker computes the same mode from its full column replica
-/// (the scan is deterministic), so merge asserts the headers agree
-/// bit-for-bit before adding counts.
+/// Every shard of one sketch carries the mode its phase-1 scan settled,
+/// so merge asserts the headers agree bit-for-bit before adding counts.
 #[derive(Debug, Clone, Copy)]
 pub enum HistogramMode {
     /// No numeric observations: one empty `[0, 1)` bin.
@@ -140,8 +139,8 @@ pub enum HistogramSketch {
 }
 
 /// Runs the histogram's phase-1 scan over the full column, settling the
-/// bin layout. Deterministic, so every worker holding a replica derives
-/// the identical sketch.
+/// bin layout. Deterministic: the same column always yields the
+/// identical sketch.
 pub fn histogram_prepare<C: ColumnRead>(column: &C, bins: usize) -> HistogramSketch {
     let bins = bins.max(1);
     match column.data_type() {
@@ -332,8 +331,7 @@ pub fn histogram_shard<C: ColumnRead>(
 }
 
 /// Finalizes a fully merged histogram partial. Needs no column data
-/// (edges recompute from the layout header), so a coordinator can
-/// finalize merged worker partials.
+/// (edges recompute from the layout header).
 pub fn finalize_histogram(partial: HistogramPartial, bins: usize) -> Histogram {
     let bins = bins.max(1);
     match partial {
@@ -383,7 +381,7 @@ pub fn finalize_histogram(partial: HistogramPartial, bins: usize) -> Histogram {
 /// Routed through the histogram sketch: phase 1 settles the bin layout,
 /// one shard spanning every row tallies counts, and the partial
 /// finalizes. Counts are integer adds, so this equals the merge of the
-/// canonical row shards a distributed run performs, bit for bit.
+/// canonical row shards a sharded sketch performs, bit for bit.
 pub fn histogram<C: ColumnRead>(column: &C, bins: usize) -> Histogram {
     let sketch = histogram_prepare(column, bins);
     finalize_histogram(histogram_shard(column, &sketch, 0..column.len()), bins)

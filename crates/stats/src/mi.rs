@@ -125,9 +125,7 @@ fn pair_shard_size(npairs: usize) -> usize {
 }
 
 /// The canonical shard layout of an `m`-column dependency sweep — a pure
-/// function of the column count, computable without data, so a
-/// coordinator can carve the pair space into worker ranges and every
-/// node agrees on shard boundaries.
+/// function of the column count, computable without data.
 pub fn dep_matrix_shard_spec(m: usize) -> blaeu_exec::ShardSpec {
     let npairs = m * m.saturating_sub(1) / 2;
     blaeu_exec::ShardSpec::with_shard_size(npairs, pair_shard_size(npairs))
@@ -193,8 +191,7 @@ impl DependencyMatrix {
 /// One-time preparation for the sharded dependency sweep: validated
 /// names, per-column discretizations and numeric views over the (possibly
 /// sampled) rows, and the canonical pair shard layout. Preparing is a
-/// pure function of the view contents and the options, so every replica
-/// of the data builds an identical sketch.
+/// pure function of the view contents and the options.
 #[derive(Debug, Clone)]
 pub struct DepMatrixSketch {
     names: Vec<String>,
@@ -278,7 +275,7 @@ impl DepMatrixSketch {
 
     /// Runs a contiguous range of shards in parallel and merges their
     /// partials in shard order. `run_range(0..shard_count)` is the full
-    /// single-node sweep; a worker runs its assigned sub-range.
+    /// sweep.
     pub fn run_range(&self, shards: std::ops::Range<usize>, threads: usize) -> Vec<f64> {
         let start = shards.start;
         let parts = blaeu_exec::par_map_range_grained(shards.len(), threads, 1, |i| {
@@ -301,7 +298,7 @@ pub fn merge_dep_cells(a: &mut Vec<f64>, mut b: Vec<f64>) {
 
 /// Assembles the symmetric matrix from the fully merged cell run (one
 /// value per `i < j` pair in pair order, diagonal fixed at 1). Needs no
-/// column data, so a coordinator can finalize merged worker partials.
+/// column data.
 ///
 /// # Panics
 /// Panics if `cells.len()` is not the pair count for `names.len()`.

@@ -67,8 +67,8 @@ pub mod prelude {
     pub use blaeu_exec::{JobHandle, JobPool, JobStatus};
     pub use blaeu_net::{NetConfig, NetServer};
     pub use blaeu_server::{
-        split_ranges, AnalysisCache, AsyncSessionServer, CacheStats, CoordStats, FsyncPolicy,
-        RecoveryReport, ServerConfig, SessionJournal, ShardCoordinator, WorkerClient,
+        AnalysisCache, AsyncSessionServer, CacheStats, FsyncPolicy, RecoveryReport, ServerConfig,
+        SessionJournal,
     };
     pub use blaeu_stats::{
         chi2_test, dependency_matrix, describe, histogram, DependencyMeasure, DependencyOptions,

@@ -529,6 +529,36 @@ fn error_statuses_are_mapped_and_keep_alive_survives() {
     net.shutdown();
 }
 
+/// A histogram sketch asking for more bins than the engine allows is a
+/// typed 422 `invalid`, not an allocation that aborts the process: the
+/// server keeps answering, on the same connection and on a new one.
+#[test]
+fn oversized_histogram_sketch_is_422_and_the_server_survives() {
+    let table = shared_table();
+    let net = serve(&table, 2, 0, NetConfig::default());
+    let mut client = WireClient::connect(net.local_addr());
+    let opened = client.request("POST", "/sessions", Some(r#"{"table": "hollywood"}"#));
+    let session = opened.json()["session"].as_u64().unwrap();
+    let commands = format!("/sessions/{session}/commands");
+    for bins in [SketchOp::MAX_HISTOGRAM_BINS + 1, 1 << 40] {
+        let body = format!(
+            r#"{{"cmd": "sketch", "op": {{"op": "histogram", "column": "budget_musd", "bins": {bins}}}}}"#
+        );
+        let refused = client.request("POST", &commands, Some(&body));
+        assert_eq!(refused.status, 422, "{}", refused.body);
+        assert_eq!(refused.json()["error"]["code"].as_str(), Some("invalid"));
+    }
+    let body = format!(
+        r#"{{"cmd": "sketch", "op": {{"op": "histogram", "column": "budget_musd", "bins": {}}}}}"#,
+        SketchOp::MAX_HISTOGRAM_BINS
+    );
+    let at_limit = client.request("POST", &commands, Some(&body));
+    assert_eq!(at_limit.status, 200, "{}", at_limit.body);
+    let mut next = WireClient::connect(net.local_addr());
+    assert_eq!(next.request("GET", "/healthz", None).status, 200);
+    net.shutdown();
+}
+
 /// Oversized bodies answer 413 before a single body byte is buffered,
 /// and the server stays healthy for the next connection.
 #[test]

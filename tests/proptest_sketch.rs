@@ -1,9 +1,8 @@
-//! Property tests for the distributed sketch tier: across random
-//! tables, random shard-range groupings, and thread budgets {1, 8},
-//! merging range partials in shard order is bit-identical to the
-//! single-process full-range run — including through a JSON wire
-//! round-trip mid-merge — and the merge is shard-order-associative
-//! (grouping does not matter as long as order is preserved).
+//! Property tests for the sketch combine: across random tables, random
+//! shard-range groupings, and thread budgets {1, 8}, merging range
+//! partials in shard order is bit-identical to the full-range run, and
+//! the merge is shard-order-associative (grouping does not matter as
+//! long as order is preserved).
 
 use proptest::prelude::*;
 
@@ -79,10 +78,9 @@ fn boundaries(cuts: &[usize], shard_count: usize) -> Vec<usize> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The tentpole invariant, fuzzed: any contiguous grouping of the
-    /// shard space, run at any thread budget, merged in shard order —
-    /// with every group partial round-tripped through its wire JSON —
-    /// equals the full single-process run bit for bit.
+    /// The combine invariant, fuzzed: any contiguous grouping of the
+    /// shard space, run at any thread budget, merged in shard order,
+    /// equals the full run bit for bit.
     #[test]
     fn grouped_merge_bit_identical_to_full_run(
         xs in prop::collection::vec(-1e3f64..1e3, 40..160),
@@ -99,23 +97,14 @@ proptest! {
             let full = plan.run_range(0..shard_count, 1);
             let b = boundaries(&cuts, shard_count);
 
-            // Run each group (at the sampled thread budget), ship it
-            // through JSON, merge in shard order.
+            // Run each group (at the sampled thread budget), merge in
+            // shard order.
             let mut merged: Option<SketchPartial> = None;
             for pair in b.windows(2) {
                 let part = plan.run_range(pair[0]..pair[1], threads);
-                let wire = serde_json::to_string(&part.to_json())
-                    .expect("serialization is infallible");
-                let back = SketchPartial::from_json(
-                    &serde_json::from_str(&wire).expect("own JSON parses"),
-                ).expect("own partial parses");
-                prop_assert_eq!(
-                    format!("{back:?}"), format!("{part:?}"),
-                    "wire round-trip must be lossless"
-                );
                 match &mut merged {
-                    None => merged = Some(back),
-                    Some(acc) => acc.merge(back).expect("same op, same layout"),
+                    None => merged = Some(part),
+                    Some(acc) => acc.merge(part).expect("same op, same layout"),
                 }
             }
             let merged = merged.expect("at least one group");
@@ -127,8 +116,8 @@ proptest! {
     }
 
     /// Shard-order associativity: merging `(ab)c` and `a(bc)` agree, so
-    /// a coordinator may pre-merge any contiguous prefix of worker
-    /// partials without changing the result.
+    /// any contiguous run of partials may be pre-merged without changing
+    /// the result.
     #[test]
     fn merge_is_shard_order_associative(
         xs in prop::collection::vec(-1e2f64..1e2, 40..120),
