@@ -6,16 +6,12 @@
 //! coordinates: distances are averaged over the observed dimensions
 //! (Gower-style), so rows with a few missing cells remain comparable.
 //!
-//! Two layers serve the hot loops:
-//!
-//! - [`Metric::dist_block`] fills a tile of pairwise distances straight
-//!   from the row-major flat matrix — reciprocal ranges are precomputed at
-//!   fit time and rows whose cells are all observed take a branch-free
-//!   inner loop.
-//! - [`BlockKernel`] (from [`Points::block_kernel`]) additionally exploits
-//!   dictionary codes kept beside the matrix for dummy-coded categorical
-//!   blocks: one `u32` equality test replaces the whole block's float
-//!   compares, with results bitwise identical to [`Points::dist`].
+//! The hot loops run through [`BlockKernel`] (from
+//! [`Points::block_kernel`]): reciprocal ranges are precomputed at fit
+//! time, rows whose cells are all observed take a branch-free inner loop,
+//! and dictionary codes kept beside the matrix for dummy-coded categorical
+//! blocks turn the whole block's float compares into one `u32` equality
+//! test, with results bitwise identical to [`Points::dist`].
 
 use blaeu_store::Bitmap;
 
@@ -59,19 +55,6 @@ pub enum Metric {
 }
 
 impl Metric {
-    /// Fits a Gower metric to data: per-dimension ranges from observed
-    /// values; `categorical` flags supplied by the caller.
-    pub fn fit_gower(rows: &[Vec<f64>], categorical: Vec<bool>) -> Metric {
-        let dims = rows.first().map_or(0, Vec::len);
-        let n = rows.len();
-        let mut flat = Vec::with_capacity(n * dims);
-        for row in rows {
-            assert_eq!(row.len(), dims, "ragged point set");
-            flat.extend_from_slice(row);
-        }
-        Metric::fit_gower_flat(&flat, n, dims, categorical)
-    }
-
     /// Fits a Gower metric from a flat row-major buffer (`n × dims`) —
     /// the accessor the zero-copy preprocessing path uses, so fitting
     /// ranges never materializes per-row vectors.
@@ -190,96 +173,6 @@ impl Metric {
                 } else {
                     sum / observed as f64
                 }
-            }
-        }
-    }
-
-    /// Fills a `rows_i.len() × rows_j.len()` tile of pairwise distances
-    /// from a row-major flat matrix into `out` (row-major), without
-    /// materializing per-row vectors.
-    ///
-    /// Rows whose cells are all finite — detected once per tile row, not
-    /// per pair — go through a branch-free inner loop over the dimensions;
-    /// remaining pairs fall back to the observed-dimension scan. Both
-    /// paths apply float operations in the same per-cell order, so every
-    /// cell equals [`Metric::dist`] on the corresponding row slices
-    /// bitwise.
-    ///
-    /// # Panics
-    /// Panics if `data` is too small for the requested rows or if
-    /// `out.len() != rows_i.len() * rows_j.len()`.
-    pub fn dist_block(
-        &self,
-        data: &[f64],
-        dims: usize,
-        rows_i: std::ops::Range<usize>,
-        rows_j: std::ops::Range<usize>,
-        out: &mut [f64],
-    ) {
-        let (bi, bj) = (rows_i.len(), rows_j.len());
-        assert_eq!(out.len(), bi * bj, "tile buffer size mismatch");
-        let max_row = rows_i.end.max(rows_j.end);
-        assert!(max_row * dims <= data.len(), "rows beyond the flat matrix");
-        let row = |i: usize| &data[i * dims..(i + 1) * dims];
-        let all_finite = |i: usize| row(i).iter().all(|v| v.is_finite());
-        let fast_j: Vec<bool> = rows_j.clone().map(all_finite).collect();
-        for (ti, i) in rows_i.enumerate() {
-            let a = row(i);
-            let strip = &mut out[ti * bj..(ti + 1) * bj];
-            if all_finite(i) {
-                for (tj, j) in rows_j.clone().enumerate() {
-                    strip[tj] = if fast_j[tj] {
-                        self.dist_fast(a, row(j))
-                    } else {
-                        self.dist(a, row(j))
-                    };
-                }
-            } else {
-                for (tj, j) in rows_j.clone().enumerate() {
-                    strip[tj] = self.dist(a, row(j));
-                }
-            }
-        }
-    }
-
-    /// Distance between two rows known to have every cell observed: the
-    /// finite checks drop out but the accumulation order (and the final
-    /// rescale expression) match [`Metric::dist`] exactly, keeping the
-    /// result bitwise identical.
-    #[inline]
-    fn dist_fast(&self, a: &[f64], b: &[f64]) -> f64 {
-        match self {
-            Metric::Euclidean => {
-                let mut sum = 0.0;
-                for (x, y) in a.iter().zip(b) {
-                    sum += (x - y) * (x - y);
-                }
-                let observed = a.len();
-                (sum * a.len() as f64 / observed as f64).sqrt()
-            }
-            Metric::Manhattan => {
-                let mut sum = 0.0;
-                for (x, y) in a.iter().zip(b) {
-                    sum += (x - y).abs();
-                }
-                let observed = a.len();
-                sum * a.len() as f64 / observed as f64
-            }
-            Metric::Gower {
-                inv_ranges,
-                categorical,
-            } => {
-                let mut sum = 0.0;
-                for (d, (x, y)) in a.iter().zip(b).enumerate() {
-                    if categorical[d] {
-                        if x != y {
-                            sum += 1.0;
-                        }
-                    } else {
-                        sum += (x - y).abs() * inv_ranges[d];
-                    }
-                }
-                sum / a.len() as f64
             }
         }
     }
@@ -662,7 +555,7 @@ impl Points {
     ///
     /// # Panics
     /// Panics if `data.len() != n * dims`.
-    pub fn from_flat(data: Vec<f64>, n: usize, dims: usize, metric: Metric) -> Self {
+    fn from_flat(data: Vec<f64>, n: usize, dims: usize, metric: Metric) -> Self {
         Points::from_flat_coded(data, n, dims, metric, Vec::new(), Vec::new())
     }
 
@@ -840,7 +733,7 @@ impl BlockKernel<'_> {
     /// columns — the inner primitive of the condensed-matrix fill. The
     /// row-`i` observedness branch is hoisted out of the loop, and runs
     /// of four fully observed columns take the four-lane kernel
-    /// ([`segment_dist4`]), which is bitwise identical per cell.
+    /// (`segment_dist4`), which is bitwise identical per cell.
     pub fn fill_strip(&self, i: usize, j_start: usize, out: &mut [f64]) {
         let p = self.points;
         if self.fast[i] {
@@ -947,6 +840,12 @@ impl BlockKernel<'_> {
 mod tests {
     use super::*;
 
+    /// Gower fit over per-row vectors.
+    fn fit_gower(rows: &[Vec<f64>], categorical: Vec<bool>) -> Metric {
+        let flat: Vec<f64> = rows.iter().flatten().copied().collect();
+        Metric::fit_gower_flat(&flat, rows.len(), rows[0].len(), categorical)
+    }
+
     #[test]
     fn euclidean_basics() {
         let m = Metric::Euclidean;
@@ -991,7 +890,7 @@ mod tests {
     #[test]
     fn gower_mixed() {
         let rows = vec![vec![0.0, 0.0], vec![10.0, 1.0], vec![5.0, 0.0]];
-        let m = Metric::fit_gower(&rows, vec![false, true]);
+        let m = fit_gower(&rows, vec![false, true]);
         // dims: numeric range 10, categorical.
         // d(0,1) = (10/10 + 1)/2 = 1.0
         assert!((m.dist(&rows[0], &rows[1]) - 1.0).abs() < 1e-12);
@@ -1002,7 +901,7 @@ mod tests {
     #[test]
     fn gower_zero_range_ignored() {
         let rows = vec![vec![7.0, 0.0], vec![7.0, 3.0]];
-        let m = Metric::fit_gower(&rows, vec![false, false]);
+        let m = fit_gower(&rows, vec![false, false]);
         // First dim constant → factor 0.0; second: 3/3 = 1; avg over 2.
         assert!((m.dist(&rows[0], &rows[1]) - 0.5).abs() < 1e-12);
         if let Metric::Gower { inv_ranges, .. } = &m {
@@ -1017,24 +916,13 @@ mod tests {
         let rows: Vec<Vec<f64>> = (0..20)
             .map(|i| vec![i as f64, (i % 3) as f64, (i * 7 % 5) as f64])
             .collect();
-        let m = Metric::fit_gower(&rows, vec![false, true, false]);
+        let m = fit_gower(&rows, vec![false, true, false]);
         for i in 0..rows.len() {
             for j in 0..rows.len() {
                 let d = m.dist(&rows[i], &rows[j]);
                 assert!((0.0..=1.0).contains(&d), "gower({i},{j}) = {d}");
             }
         }
-    }
-
-    #[test]
-    fn fit_gower_flat_matches_row_fit() {
-        let rows: Vec<Vec<f64>> = (0..15)
-            .map(|i| vec![i as f64, (i % 4) as f64, f64::NAN])
-            .collect();
-        let flat: Vec<f64> = rows.iter().flatten().copied().collect();
-        let by_rows = Metric::fit_gower(&rows, vec![false, true, false]);
-        let by_flat = Metric::fit_gower_flat(&flat, 15, 3, vec![false, true, false]);
-        assert_eq!(by_rows, by_flat);
     }
 
     #[test]
@@ -1099,7 +987,7 @@ mod tests {
         for metric in [
             Metric::Euclidean,
             Metric::Manhattan,
-            Metric::fit_gower(&rows, vec![false, false, false]),
+            fit_gower(&rows, vec![false, false, false]),
         ] {
             for i in 0..rows.len() {
                 assert_eq!(metric.dist(&rows[i], &rows[i]), 0.0);
@@ -1250,44 +1138,6 @@ mod tests {
                 k.dists_tile4([j, j + 1, j + 2, j + 3], m, &mut out);
                 for (l, d) in out.iter().enumerate() {
                     assert_eq!(d.to_bits(), p.dist(j + l, m).to_bits());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn dist_block_matches_scalar_bitwise() {
-        // Numeric-only fixture with NaN holes, all three metrics.
-        let n = 40;
-        let dims = 5;
-        let mut data = Vec::with_capacity(n * dims);
-        for i in 0..n * dims {
-            let h = i.wrapping_mul(40503) % 101;
-            data.push(if h % 19 == 0 {
-                f64::NAN
-            } else {
-                (h as f64).cos()
-            });
-        }
-        let flags = vec![false; dims];
-        for metric in [
-            Metric::Euclidean,
-            Metric::Manhattan,
-            Metric::fit_gower_flat(&data, n, dims, flags),
-        ] {
-            let mut tile = vec![0.0; 12 * 17];
-            metric.dist_block(&data, dims, 5..17, 20..37, &mut tile);
-            for (ti, i) in (5..17).enumerate() {
-                for (tj, j) in (20..37).enumerate() {
-                    let direct = metric.dist(
-                        &data[i * dims..(i + 1) * dims],
-                        &data[j * dims..(j + 1) * dims],
-                    );
-                    assert_eq!(
-                        tile[ti * 17 + tj].to_bits(),
-                        direct.to_bits(),
-                        "tile cell ({i},{j}) differs"
-                    );
                 }
             }
         }

@@ -37,6 +37,7 @@ pub struct Merge {
 #[derive(Debug, Clone)]
 pub struct Dendrogram {
     n: usize,
+    /// The merge history, in order (length `n − 1`).
     merges: Vec<Merge>,
 }
 
@@ -49,11 +50,6 @@ impl Dendrogram {
     /// True when fitted on zero points.
     pub fn is_empty(&self) -> bool {
         self.n == 0
-    }
-
-    /// The merge history, in order (length `n − 1`).
-    pub fn merges(&self) -> &[Merge] {
-        &self.merges
     }
 
     /// Cuts the dendrogram into `k` clusters, returning dense labels
@@ -225,13 +221,13 @@ mod tests {
     #[test]
     fn merge_history_complete() {
         let dend = agglomerative(&blob_matrix(), Linkage::Average);
-        assert_eq!(dend.merges().len(), 23);
+        assert_eq!(dend.merges.len(), 23);
         assert_eq!(dend.len(), 24);
         // Final merge holds all points.
-        assert_eq!(dend.merges().last().unwrap().size, 24);
+        assert_eq!(dend.merges.last().unwrap().size, 24);
         // Within-blob merges happen before cross-blob merges.
         let first_cross = dend
-            .merges()
+            .merges
             .iter()
             .position(|m| m.distance > 10.0)
             .expect("cross-blob merges exist");
@@ -257,7 +253,7 @@ mod tests {
         // Complete/average linkage on metric data produce non-decreasing
         // merge heights (no inversions).
         let dend = agglomerative(&blob_matrix(), Linkage::Complete);
-        let heights: Vec<f64> = dend.merges().iter().map(|m| m.distance).collect();
+        let heights: Vec<f64> = dend.merges.iter().map(|m| m.distance).collect();
         assert!(
             heights.windows(2).all(|w| w[0] <= w[1] + 1e-9),
             "{heights:?}"
@@ -268,7 +264,7 @@ mod tests {
     fn single_point() {
         let m = DistanceMatrix::from_fn(1, |_, _| 0.0);
         let dend = agglomerative(&m, Linkage::Single);
-        assert_eq!(dend.merges().len(), 0);
+        assert_eq!(dend.merges.len(), 0);
         assert_eq!(dend.cut(1), vec![0]);
     }
 

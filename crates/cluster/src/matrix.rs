@@ -46,10 +46,10 @@ impl DistanceMatrix {
     /// when the set is large.
     ///
     /// The condensed buffer is split into fixed-height row bands
-    /// ([`Self::BAND_ROWS`]) that executor workers claim adaptively; each
+    /// (`BAND_ROWS`) that executor workers claim adaptively; each
     /// worker fills its band in place through the point set's
     /// [`blocked kernel`](Points::block_kernel), sweeping column tiles of
-    /// [`Self::J_TILE`] rows so the j-side data is reused from cache
+    /// `J_TILE` rows so the j-side data is reused from cache
     /// across the whole band. Every cell's value depends only on its
     /// position (the kernel is bitwise identical to [`Points::dist`]), so
     /// the matrix is identical for any thread count and any tile layout

@@ -64,11 +64,6 @@ impl ViewFingerprint {
     pub fn is_live(&self) -> bool {
         self.table.strong_count() > 0
     }
-
-    /// Number of rows the selection pins (`None` = identity view).
-    pub fn selected_rows(&self) -> Option<usize> {
-        self.rows.as_ref().map(|r| r.len())
-    }
 }
 
 impl PartialEq for ViewFingerprint {
@@ -207,7 +202,7 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(hash_of(&a), hash_of(&b));
         assert!(a.is_live());
-        assert_eq!(a.selected_rows(), None);
+        assert!(a.rows.is_none());
     }
 
     #[test]
@@ -220,7 +215,7 @@ mod tests {
         let fb = ViewFingerprint::of(&b);
         assert_eq!(fa, fb);
         assert_eq!(hash_of(&fa), hash_of(&fb));
-        assert_eq!(fa.selected_rows(), Some(3));
+        assert_eq!(fa.rows.as_ref().map(|r| r.len()), Some(3));
     }
 
     #[test]

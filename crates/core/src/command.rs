@@ -129,22 +129,6 @@ impl Command {
         Command::from_json(&value)
     }
 
-    /// True for commands that run a cluster analysis (map construction);
-    /// everything else answers at interactive latency from session state.
-    pub fn is_slow(&self) -> bool {
-        matches!(
-            self,
-            Command::SelectTheme(_)
-                | Command::Zoom(_)
-                | Command::Map
-                | Command::MapProgressive
-                | Command::MapRefine { .. }
-                | Command::Project(_)
-                | Command::ProjectTheme(_)
-                | Command::Sketch(_)
-        )
-    }
-
     /// Serializes the command to its wire form (a v1 envelope: the
     /// command object plus `"v": 1`).
     pub fn to_json(&self) -> Value {
@@ -607,23 +591,6 @@ mod tests {
             Command::from_json_str(&deep),
             Err(BlaeuError::Invalid(_))
         ));
-    }
-
-    #[test]
-    fn slow_commands_classified() {
-        assert!(Command::SelectTheme(0).is_slow());
-        assert!(Command::Map.is_slow());
-        assert!(Command::MapProgressive.is_slow());
-        assert!(Command::MapRefine { level: 0 }.is_slow());
-        assert!(Command::Zoom(0).is_slow());
-        assert!(Command::Sketch(SketchOp::Describe {
-            column: "c".into(),
-            top_k: 1,
-        })
-        .is_slow());
-        assert!(!Command::Highlight("c".into()).is_slow());
-        assert!(!Command::Rollback.is_slow());
-        assert!(!Command::Depth.is_slow());
     }
 
     #[test]

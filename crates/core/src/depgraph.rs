@@ -28,11 +28,6 @@ impl DependencyGraph {
         })
     }
 
-    /// Wraps an existing dependency matrix.
-    pub fn from_matrix(matrix: DependencyMatrix) -> Self {
-        DependencyGraph { matrix }
-    }
-
     /// Vertex names.
     pub fn vertices(&self) -> &[String] {
         self.matrix.names()
@@ -59,7 +54,7 @@ impl DependencyGraph {
     }
 
     /// Edges with weight ≥ `threshold`, as `(i, j, weight)`, strongest first.
-    pub fn edges_above(&self, threshold: f64) -> Vec<(usize, usize, f64)> {
+    fn edges_above(&self, threshold: f64) -> Vec<(usize, usize, f64)> {
         let n = self.matrix.len();
         let mut edges: Vec<(usize, usize, f64)> = (0..n)
             .flat_map(|i| ((i + 1)..n).map(move |j| (i, j)))

@@ -17,7 +17,7 @@
 use std::sync::Arc;
 
 use blaeu_stats::{describe, histogram, ColumnSummary, Histogram};
-use blaeu_store::{ColumnRole, Predicate, SelectProject, Table, TableView};
+use blaeu_store::{ColumnRole, SelectProject, Table, TableView};
 
 use crate::cache::{AnalysisMemo, MapKey, ThemesKey};
 use crate::command::{Command, Response};
@@ -58,7 +58,7 @@ impl ExplorerState {
     /// Gathers the given view-relative rows as an owned example table —
     /// the single materialization helper for tuples shown to the user.
     /// Analysis never materializes; only examples do.
-    pub fn example_rows(&self, rows: &[u32]) -> Result<Table> {
+    fn example_rows(&self, rows: &[u32]) -> Result<Table> {
         Ok(self.view.gather(rows)?)
     }
 }
@@ -219,7 +219,7 @@ impl Explorer {
 
     /// The shared theme-detection result — handed to responses without
     /// copying (many queued clients share one `Arc`).
-    pub fn theme_set_shared(&self) -> Arc<ThemeSet> {
+    fn theme_set_shared(&self) -> Arc<ThemeSet> {
         Arc::clone(&self.themes)
     }
 
@@ -364,7 +364,7 @@ impl Explorer {
     ///
     /// # Errors
     /// Returns [`BlaeuError::NoActiveMap`] before any theme is selected.
-    pub fn remap(&mut self) -> Result<&DataMap> {
+    fn remap(&mut self) -> Result<&DataMap> {
         let state = self.current();
         if state.columns.is_empty() {
             return Err(BlaeuError::NoActiveMap);
@@ -382,9 +382,9 @@ impl Explorer {
     /// level 0 (sized to resolve in milliseconds), replaces the current
     /// state's map in place and returns the level-0
     /// [`Response::MapDelta`]. When the schedule has further rungs the
-    /// ladder stays armed and [`Explorer::map_refine`] runs them; the
+    /// ladder stays armed and [`Command::MapRefine`] runs them; the
     /// final rung rebuilds under the session configuration verbatim, so
-    /// its map — and digest — equal a plain [`Explorer::remap`].
+    /// its map — and digest — equal a plain [`Command::Map`].
     ///
     /// # Errors
     /// Returns [`BlaeuError::NoActiveMap`] before any theme is selected.
@@ -405,7 +405,7 @@ impl Explorer {
     /// # Errors
     /// Returns [`BlaeuError::Invalid`] when no ladder is armed or the
     /// level is out of order.
-    pub fn map_refine(&mut self, level: usize) -> Result<Response> {
+    fn map_refine(&mut self, level: usize) -> Result<Response> {
         let mut ladder = self.ladder.take().ok_or_else(|| {
             BlaeuError::Invalid(format!(
                 "refinement level {level} without an in-flight progressive map"
@@ -551,7 +551,7 @@ impl Explorer {
     ///
     /// # Errors
     /// Returns [`BlaeuError::Invalid`] for positions outside the history.
-    pub fn rollback_to(&mut self, depth: usize) -> Result<()> {
+    fn rollback_to(&mut self, depth: usize) -> Result<()> {
         if depth == 0 || depth > self.stack.len() {
             return Err(BlaeuError::Invalid(format!(
                 "history position {depth} outside 1..={}",
@@ -707,11 +707,6 @@ impl Explorer {
     }
 }
 
-/// Convenience: does this predicate mention the given column?
-pub fn predicate_mentions(predicate: &Predicate, column: &str) -> bool {
-    predicate.columns().iter().any(|c| c == column)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -843,13 +838,6 @@ mod tests {
             assert!(matches!(r.summary, ColumnSummary::Numeric(_)));
             assert_eq!(r.examples.len(), 3);
         }
-    }
-
-    #[test]
-    fn predicate_mentions_helper() {
-        let p = Predicate::lt("x", 3.0);
-        assert!(predicate_mentions(&p, "x"));
-        assert!(!predicate_mentions(&p, "y"));
     }
 
     #[test]

@@ -64,9 +64,7 @@ pub use preprocess::{
     analyzable_columns, preprocess, FeatureInfo, FeatureMatrix, MetricChoice, MissingPolicy,
     PreprocessConfig,
 };
-pub use progressive::{
-    level_schedule, ProgressiveMap, RefinementDelta, FIRST_LEVEL, LADDER_FACTOR,
-};
+pub use progressive::{ProgressiveMap, RefinementDelta};
 pub use session::{SessionId, SessionManager};
 pub use sketch::{SketchOp, SketchPartial, SketchPlan, SketchResult};
-pub use themes::{detect_themes, detect_themes_on, Theme, ThemeConfig, ThemeSet};
+pub use themes::{detect_themes, Theme, ThemeConfig, ThemeSet};

@@ -151,22 +151,6 @@ impl DataMap {
         &self.tree
     }
 
-    /// The quantized query space: one Select-Project query per region
-    /// (projection = the map's columns, selection = the region's path
-    /// predicate). "Blaeu quantizes the query space: to refine their
-    /// queries, the users need only to consider a few discrete
-    /// alternatives" — this is that set of alternatives, explicit.
-    pub fn all_queries(&self) -> Vec<(usize, blaeu_store::SelectProject)> {
-        self.regions
-            .iter()
-            .map(|r| {
-                let q = blaeu_store::SelectProject::filtered(r.predicate.clone())
-                    .project(self.columns.clone());
-                (r.id, q)
-            })
-            .collect()
-    }
-
     /// Ids of regions that differ from `prev` (every id when `prev` is
     /// `None`). Region ids are pre-order indices, so the comparison is
     /// positional: an id is "changed" when its region was added, removed,
@@ -364,28 +348,6 @@ mod tests {
             }
             if let Some(parent) = region.parent {
                 assert!(map.region(parent).unwrap().children.contains(&region.id));
-            }
-        }
-    }
-
-    #[test]
-    fn all_queries_enumerate_regions() {
-        let map = toy_map();
-        let queries = map.all_queries();
-        assert_eq!(queries.len(), map.n_regions());
-        // The root query selects everything; leaf queries partition.
-        let (root_id, root_q) = &queries[0];
-        assert_eq!(*root_id, 0);
-        let sql = root_q.to_sql("t");
-        assert!(sql.contains("\"x\""), "{sql}");
-        for (id, q) in &queries {
-            let region = map.region(*id).unwrap();
-            if region.is_leaf() {
-                assert!(
-                    q.to_sql("t").contains("WHERE"),
-                    "leaf queries carry predicates: {}",
-                    q.to_sql("t")
-                );
             }
         }
     }

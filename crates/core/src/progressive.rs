@@ -6,11 +6,11 @@
 //! by the slowest exact run. This module turns that one build into a
 //! deterministic *ladder* of builds over growing sample sizes:
 //!
-//! * [`level_schedule`] is a **pure function of the row count and the
+//! * `level_schedule` is a **pure function of the row count and the
 //!   configured target sample** — no clocks, no adaptivity. Level 0 is
-//!   sized ([`FIRST_LEVEL`] rows) to resolve in single-digit
+//!   sized (`FIRST_LEVEL` rows) to resolve in single-digit
 //!   milliseconds; each rung multiplies the sample by
-//!   [`LADDER_FACTOR`]; the final rung runs the session's `MapperConfig`
+//!   `LADDER_FACTOR`; the final rung runs the session's `MapperConfig`
 //!   **verbatim**, so its map is bit-for-bit the exact `Command::Map`
 //!   result (and shares its analysis-cache key).
 //! * The samples of successive rungs are **nested**: every sample is a
@@ -45,19 +45,19 @@ use crate::mapper::MapperConfig;
 /// sample, so 64 points price in well under a millisecond), large enough
 /// that the coarse map usually finds the same major clusters the exact
 /// map will.
-pub const FIRST_LEVEL: usize = 64;
+const FIRST_LEVEL: usize = 64;
 
 /// Sample-size multiplier between rungs. 4× keeps the ladder short
 /// (four rungs cover 64 → 2048) while the total work of all
 /// intermediate rungs stays a fraction of the exact build's.
-pub const LADDER_FACTOR: usize = 4;
+const LADDER_FACTOR: usize = 4;
 
 /// Intermediate rungs route `sample_size × PREVIEW_FACTOR` rows through
 /// the fitted tree instead of the whole view
 /// ([`MapperConfig::assign_preview`]) — enough rows that region counts
 /// are tight estimates, without a full-view pass per rung. The final
 /// rung always assigns exactly.
-pub const PREVIEW_FACTOR: usize = 16;
+const PREVIEW_FACTOR: usize = 16;
 
 /// The deterministic sample-size ladder for a view of `nrows` rows and
 /// a configured `target_sample`. A **pure function** of its arguments:
@@ -66,7 +66,7 @@ pub const PREVIEW_FACTOR: usize = 16;
 /// always `target_sample` itself — the exact configuration, untouched.
 /// Never empty; tiny views (or targets at or below [`FIRST_LEVEL`])
 /// collapse to a single exact level.
-pub fn level_schedule(nrows: usize, target_sample: usize) -> Vec<usize> {
+fn level_schedule(nrows: usize, target_sample: usize) -> Vec<usize> {
     let target = target_sample.max(1);
     // Intermediate rungs below the row count are real refinements;
     // beyond it every level would resample the same clamped view.
@@ -126,11 +126,6 @@ impl ProgressiveMap {
             next: 0,
             prev: None,
         }
-    }
-
-    /// The planned sample size per level.
-    pub fn schedule(&self) -> &[usize] {
-        &self.schedule
     }
 
     /// Total number of levels.

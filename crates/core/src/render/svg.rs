@@ -79,7 +79,7 @@ fn layout(
 }
 
 /// Renders the map as a standalone SVG document (`width × height` px).
-pub fn render_svg(map: &DataMap, width: u32, height: u32) -> String {
+fn render_svg(map: &DataMap, width: u32, height: u32) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"{width}\" height=\"{height}\" \

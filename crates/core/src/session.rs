@@ -81,9 +81,9 @@ impl SessionManager {
 
     /// Re-opens a session under an *explicit* id — the journal-recovery
     /// path: a restarted server re-creates each journaled session under
-    /// the id its clients already hold. Future [`SessionManager::create*`]
-    /// ids are bumped past `id`, so restored and fresh sessions never
-    /// collide.
+    /// the id its clients already hold. Ids of later
+    /// [`SessionManager::create`] calls (and its variants) are bumped
+    /// past `id`, so restored and fresh sessions never collide.
     ///
     /// # Errors
     /// [`BlaeuError::Invalid`] when `id` is already live or is

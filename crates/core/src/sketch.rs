@@ -45,14 +45,14 @@ pub enum SketchOp {
         /// Columns to sweep, in order.
         columns: Vec<String>,
     },
-    /// Column summary ([`blaeu_stats::describe`]); shards carve the rows.
+    /// Column summary ([`blaeu_stats::describe()`]); shards carve the rows.
     Describe {
         /// Column to summarize.
         column: String,
         /// Categorical top-list cap.
         top_k: usize,
     },
-    /// Column histogram ([`blaeu_stats::histogram`]); shards carve the
+    /// Column histogram ([`blaeu_stats::histogram()`]); shards carve the
     /// rows.
     Histogram {
         /// Column to bin.

@@ -111,11 +111,7 @@ pub fn detect_themes(view: &TableView, config: &ThemeConfig) -> Result<ThemeSet>
 ///
 /// # Errors
 /// Fails when fewer than two columns are given, or on storage errors.
-pub fn detect_themes_on(
-    view: &TableView,
-    columns: &[&str],
-    config: &ThemeConfig,
-) -> Result<ThemeSet> {
+fn detect_themes_on(view: &TableView, columns: &[&str], config: &ThemeConfig) -> Result<ThemeSet> {
     if columns.len() < 2 {
         return Err(BlaeuError::Invalid(format!(
             "theme detection needs at least 2 columns, got {}",

@@ -11,14 +11,14 @@
 //!    `std::thread::available_parallelism` in the workspace. It can be
 //!    overridden programmatically ([`set_thread_budget`]) or via the
 //!    `BLAEU_THREADS` environment variable.
-//! 2. **Deterministic results.** [`par_map`] / [`par_map_range`] return
+//! 2. **Deterministic results.** [`par_map`] / [`par_map_range_grained`] return
 //!    results in input order regardless of how work was chunked, and
 //!    [`par_shards`] returns per-shard results in shard order over a
 //!    [`ShardSpec`] whose layout depends only on the input length — so
 //!    floating-point reductions that combine shards in order are
 //!    bit-identical for `threads = 1` and `threads = N`.
 //! 3. **No oversubscription.** Code running inside an executor worker is
-//!    flagged ([`in_parallel_region`]); any nested executor call degrades
+//!    flagged as such; any nested executor call degrades
 //!    to sequential execution on the worker's own thread instead of
 //!    multiplying thread counts (e.g. CLARA building distance matrices
 //!    inside a parallel session sweep).
@@ -32,10 +32,10 @@
 //! workloads (triangular distance-matrix bands, mixed-cost dependency
 //! pairs) keep every core busy without any effect on the output: order is
 //! restored on collect, which is why the grain size is a pure performance
-//! knob for [`par_map`] / [`par_map_range`] / [`par_shards`].
+//! knob for [`par_map`] / [`par_map_range_grained`] / [`par_shards`].
 //!
-//! By default the grain is **adaptive**: `ceil(n / (threads ·`
-//! [`OVERPARTITION`]`))`, clamped to at least 1 — enough grains that the
+//! By default the grain is **adaptive**: `ceil(n / (threads ·
+//! OVERPARTITION))`, clamped to at least 1 — enough grains that the
 //! queue can rebalance, few enough that claim overhead stays negligible.
 //! [`par_map_range_grained`] exposes the knob for callers whose items are
 //! so coarse (CLARA replicates, sketch shards) that every item should be
@@ -60,7 +60,7 @@
 //!
 //! The batch primitives above block the caller until the whole fan-out
 //! finishes. The [`pool`] module adds the queue-shaped complement: a
-//! persistent worker pool with submit → join/poll/cancel handles, used by
+//! persistent worker pool with submit → join handles, used by
 //! the asynchronous session tier so slow jobs overlap with fast ones.
 //! Pool workers honor the same thread budget and nesting guard.
 
@@ -68,7 +68,7 @@
 
 pub mod pool;
 
-pub use pool::{JobHandle, JobPool, JobStatus};
+pub use pool::{JobHandle, JobPool};
 
 use std::cell::Cell;
 use std::panic::resume_unwind;
@@ -85,7 +85,7 @@ pub const REDUCE_GRAIN: usize = 1024;
 /// grain: `par_map(n, t)` cuts the input into about `t · OVERPARTITION`
 /// grains so the claim queue can rebalance skewed workloads, instead of
 /// the legacy single `n / t` chunk per worker.
-pub const OVERPARTITION: usize = 8;
+const OVERPARTITION: usize = 8;
 
 /// The adaptive steal grain for `n` items on `threads` workers:
 /// `ceil(n / (threads · OVERPARTITION))`, at least 1.
@@ -146,12 +146,10 @@ thread_local! {
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
-/// True when the current thread is an executor worker.
-///
-/// Executor entry points consult this to degrade nested parallelism to
-/// sequential execution; user code can consult it to pick serial
-/// algorithm variants.
-pub fn in_parallel_region() -> bool {
+/// True when the current thread is an executor worker. Executor entry
+/// points consult this to degrade nested parallelism to sequential
+/// execution.
+fn in_parallel_region() -> bool {
     IN_WORKER.with(Cell::get)
 }
 
@@ -244,7 +242,7 @@ where
 /// returning results in input order.
 ///
 /// `threads == 0` uses the process [`thread_budget`]. The input is cut
-/// into adaptive steal grains (see [`OVERPARTITION`]) pulled off a shared
+/// into adaptive steal grains (see [`adaptive_grain`]) pulled off a shared
 /// claim queue; order is restored on collect, so results are identical
 /// for any thread count. Calls from inside an executor worker run
 /// sequentially (nesting guard). Panics in `f` are propagated with their
@@ -293,17 +291,8 @@ where
 }
 
 /// Applies `f` to every index in `0..n`, in parallel, returning results in
-/// index order. Semantics as [`par_map`].
-pub fn par_map_range<R, F>(n: usize, threads: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    par_map_range_grained(n, threads, 0, f)
-}
-
-/// [`par_map_range`] with an explicit steal-grain size (`grain == 0` =
-/// adaptive).
+/// index order, with an explicit steal-grain size (`grain == 0` =
+/// adaptive). Semantics as [`par_map`].
 ///
 /// `grain` is a pure performance knob: it changes how work is claimed,
 /// never the results. Use `grain == 1` when every item is coarse enough
@@ -357,11 +346,6 @@ impl ShardSpec {
     pub fn with_shard_size(items: usize, shard_size: usize) -> Self {
         assert!(shard_size > 0, "shard size must be positive");
         ShardSpec { items, shard_size }
-    }
-
-    /// Total number of items covered.
-    pub fn items(&self) -> usize {
-        self.items
     }
 
     /// Number of shards (0 for an empty spec).
@@ -476,7 +460,7 @@ mod tests {
     fn par_map_empty_input() {
         let out: Vec<usize> = par_map::<usize, _, _>(&[], 0, |i, &x| i + x);
         assert!(out.is_empty());
-        let out: Vec<usize> = par_map_range(0, 4, |i| i);
+        let out: Vec<usize> = par_map_range_grained(0, 4, 0, |i| i);
         assert!(out.is_empty());
     }
 
@@ -492,7 +476,7 @@ mod tests {
             1usize, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 63, 64, 65, 100, 1023, 1024, 1025,
         ] {
             for &t in &[1usize, 2, 3, 4, 5, 7, 8] {
-                let out = par_map_range(n, t, |i| i);
+                let out = par_map_range_grained(n, t, 0, |i| i);
                 assert_eq!(out, (0..n).collect::<Vec<_>>(), "n={n} t={t}");
             }
         }
@@ -511,7 +495,7 @@ mod tests {
     #[test]
     fn worker_panic_propagates_with_payload() {
         let result = catch_unwind(|| {
-            par_map_range(64, 4, |i| {
+            par_map_range_grained(64, 4, 0, |i| {
                 if i == 33 {
                     panic!("worker exploded at {i}");
                 }
@@ -536,13 +520,13 @@ mod tests {
         // threads (a single worker would deadlock at the barrier mid-chunk,
         // so another must pick up the other side) — even on one CPU.
         let rendezvous = std::sync::Barrier::new(2);
-        let inner_ids: Vec<Vec<ThreadId>> = par_map_range(4, 4, |i| {
+        let inner_ids: Vec<Vec<ThreadId>> = par_map_range_grained(4, 4, 0, |i| {
             assert!(in_parallel_region(), "worker must be flagged");
             if i < 2 {
                 rendezvous.wait();
             }
             // The nested call must run on this worker's own thread.
-            par_map_range(16, 8, |_| std::thread::current().id())
+            par_map_range_grained(16, 8, 0, |_| std::thread::current().id())
         });
         for ids in &inner_ids {
             let distinct: HashSet<ThreadId> = ids.iter().copied().collect();
@@ -603,7 +587,7 @@ mod tests {
         let expected: Vec<u64> = (0..n).map(quadratic).collect();
         // std's Barrier is cyclic: one instance serves both bands.
         let rendezvous = std::sync::Barrier::new(threads);
-        let out: Vec<(u64, ThreadId)> = par_map_range(n, threads, |i| {
+        let out: Vec<(u64, ThreadId)> = par_map_range_grained(n, threads, 0, |i| {
             if i < threads || i >= n - threads {
                 rendezvous.wait();
             }
@@ -647,7 +631,6 @@ mod tests {
         for &items in &[0usize, 1, 5, 4095, 4096, 4097, 10_000] {
             for &size in &[1usize, 3, 1024, 4096] {
                 let spec = ShardSpec::with_shard_size(items, size);
-                assert_eq!(spec.items(), items);
                 let mut covered = Vec::new();
                 for s in 0..spec.shard_count() {
                     let r = spec.range(s);
@@ -694,7 +677,7 @@ mod tests {
 
     #[test]
     fn par_shards_nested_degrades_to_sequential() {
-        let outer = par_map_range(4, 4, |_| {
+        let outer = par_map_range_grained(4, 4, 0, |_| {
             let spec = ShardSpec::with_shard_size(64, 4);
             let ids: HashSet<ThreadId> = par_shards(&spec, 8, |_, _| std::thread::current().id())
                 .into_iter()
@@ -707,7 +690,7 @@ mod tests {
     #[test]
     fn explicit_thread_count_overrides_budget() {
         // threads=3 on 10 items: at most 3 worker threads observed.
-        let ids = par_map_range(10, 3, |_| {
+        let ids = par_map_range_grained(10, 3, 0, |_| {
             std::thread::sleep(std::time::Duration::from_millis(1));
             std::thread::current().id()
         });

@@ -1,4 +1,4 @@
-//! A persistent worker pool with submit → join/poll/cancel job handles —
+//! A persistent worker pool with submit → join job handles —
 //! the executor primitive behind the asynchronous session tier.
 //!
 //! [`par_map`](crate::par_map) and friends are *batch* primitives: the
@@ -30,7 +30,6 @@
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::Instant;
 
 use parking_lot::{Condvar, Mutex};
 
@@ -117,11 +116,11 @@ impl JobPool {
     }
 
     /// Number of jobs waiting to be claimed (excludes running jobs).
-    pub fn queued(&self) -> usize {
+    fn queued(&self) -> usize {
         self.shared.state.lock().queue.len()
     }
 
-    /// Submits a job, returning a handle to join, poll or cancel it.
+    /// Submits a job, returning a handle to join it.
     ///
     /// The closure runs on a pool worker with the executor's nesting
     /// guard active; a panic inside it is captured and re-raised in
@@ -135,23 +134,13 @@ impl JobPool {
         F: FnOnce() -> R + Send + 'static,
     {
         let slot = Arc::new(JobSlot {
-            state: Mutex::new(JobState::Queued),
+            outcome: Mutex::new(None),
             cv: Condvar::new(),
         });
         let job_slot = Arc::clone(&slot);
         let job: Job = Box::new(move || {
-            {
-                let mut st = job_slot.state.lock();
-                match *st {
-                    JobState::Cancelled => return,
-                    JobState::Queued => *st = JobState::Running,
-                    // Each job is queued exactly once.
-                    _ => unreachable!("job claimed twice"),
-                }
-            }
-            let result = catch_unwind(AssertUnwindSafe(f));
-            let mut st = job_slot.state.lock();
-            *st = JobState::Done(result, Instant::now());
+            let outcome = catch_unwind(AssertUnwindSafe(f));
+            *job_slot.outcome.lock() = Some(outcome);
             job_slot.cv.notify_all();
         });
         let inline_job = {
@@ -223,34 +212,11 @@ fn worker_loop(shared: &PoolShared) {
     }
 }
 
-/// Lifecycle of one submitted job.
-enum JobState<R> {
-    /// In the queue, not yet claimed by a worker.
-    Queued,
-    /// Claimed and executing.
-    Running,
-    /// Finished (normally or by panic), with the completion instant.
-    Done(std::thread::Result<R>, Instant),
-    /// Cancelled before a worker claimed it; it will never run.
-    Cancelled,
-}
-
+/// Where a job's outcome lands: `None` until the job has finished
+/// (normally or by panic).
 struct JobSlot<R> {
-    state: Mutex<JobState<R>>,
+    outcome: Mutex<Option<std::thread::Result<R>>>,
     cv: Condvar,
-}
-
-/// Observable status of a job (see [`JobHandle::status`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JobStatus {
-    /// Waiting in the queue.
-    Queued,
-    /// Executing on a worker.
-    Running,
-    /// Completed; [`JobHandle::join`] will not block.
-    Finished,
-    /// Cancelled before execution; [`JobHandle::join`] returns `None`.
-    Cancelled,
 }
 
 /// Handle to a job submitted to a [`JobPool`].
@@ -263,70 +229,23 @@ pub struct JobHandle<R> {
 
 impl<R> std::fmt::Debug for JobHandle<R> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JobHandle")
-            .field("status", &self.status())
-            .finish()
+        f.debug_struct("JobHandle").finish_non_exhaustive()
     }
 }
 
 impl<R> JobHandle<R> {
-    /// The job's current lifecycle stage (non-blocking).
-    pub fn status(&self) -> JobStatus {
-        match *self.slot.state.lock() {
-            JobState::Queued => JobStatus::Queued,
-            JobState::Running => JobStatus::Running,
-            JobState::Done(..) => JobStatus::Finished,
-            JobState::Cancelled => JobStatus::Cancelled,
-        }
-    }
-
-    /// True once the job has finished or been cancelled (join won't
-    /// block).
-    pub fn is_finished(&self) -> bool {
-        matches!(self.status(), JobStatus::Finished | JobStatus::Cancelled)
-    }
-
-    /// Cancels the job if it is still queued. Returns `true` when the
-    /// cancellation won (the job will never run); `false` when the job
-    /// already started or finished.
-    pub fn cancel(&self) -> bool {
-        let mut st = self.slot.state.lock();
-        if matches!(*st, JobState::Queued) {
-            *st = JobState::Cancelled;
-            self.slot.cv.notify_all();
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Blocks until the job completes and returns its result — `None` if
-    /// the job was cancelled before running. A panic inside the job is
-    /// re-raised here with its original payload.
-    pub fn join(self) -> Option<R> {
-        let mut st = self.slot.state.lock();
-        self.slot.cv.wait_while(&mut st, |s| {
-            matches!(s, JobState::Queued | JobState::Running)
-        });
-        match std::mem::replace(&mut *st, JobState::Cancelled) {
-            JobState::Done(Ok(value), _) => Some(value),
-            JobState::Done(Err(payload), _) => {
-                drop(st);
-                resume_unwind(payload)
+    /// Blocks until the job completes and returns its result. A panic
+    /// inside the job is re-raised here with its original payload.
+    pub fn join(self) -> R {
+        let mut pending = self.slot.outcome.lock();
+        let outcome = loop {
+            match pending.take() {
+                Some(done) => break done,
+                None => self.slot.cv.wait(&mut pending),
             }
-            JobState::Cancelled => None,
-            JobState::Queued | JobState::Running => unreachable!("wait_while guarantees progress"),
-        }
-    }
-
-    /// When the job finished, the instant its result was recorded —
-    /// `None` while queued/running/cancelled. Lets callers compare
-    /// completion order across jobs without re-instrumenting them.
-    pub fn finished_at(&self) -> Option<Instant> {
-        match *self.slot.state.lock() {
-            JobState::Done(_, at) => Some(at),
-            _ => None,
-        }
+        };
+        drop(pending);
+        outcome.unwrap_or_else(|payload| resume_unwind(payload))
     }
 }
 
@@ -342,7 +261,7 @@ mod tests {
         let pool = JobPool::new(4);
         assert_eq!(pool.workers(), 4);
         let handles: Vec<_> = (0..32).map(|i| pool.submit(move || i * 2)).collect();
-        let results: Vec<usize> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        let results: Vec<usize> = handles.into_iter().map(JobHandle::join).collect();
         assert_eq!(results, (0..32).map(|i| i * 2).collect::<Vec<_>>());
     }
 
@@ -350,7 +269,7 @@ mod tests {
     fn zero_threads_uses_budget() {
         let pool = JobPool::new(0);
         assert!(pool.workers() >= 1);
-        assert_eq!(pool.submit(|| 7usize).join(), Some(7));
+        assert_eq!(pool.submit(|| 7usize).join(), 7);
     }
 
     #[test]
@@ -363,12 +282,12 @@ mod tests {
             );
             // Batch-executor calls from a job stay on the worker's thread.
             let ids: HashSet<std::thread::ThreadId> =
-                crate::par_map_range(32, 8, |_| std::thread::current().id())
+                crate::par_map_range_grained(32, 8, 0, |_| std::thread::current().id())
                     .into_iter()
                     .collect();
             ids.len()
         });
-        assert_eq!(handle.join(), Some(1));
+        assert_eq!(handle.join(), 1);
         assert!(!crate::in_parallel_region());
     }
 
@@ -385,50 +304,7 @@ mod tests {
             "payload lost: {message:?}"
         );
         // The worker survived the panic and keeps serving jobs.
-        assert_eq!(good.join(), Some(11));
-    }
-
-    #[test]
-    fn cancel_prevents_execution() {
-        let ran = Arc::new(AtomicUsize::new(0));
-        let gate = Arc::new(Barrier::new(2));
-        let pool = JobPool::new(1);
-        // Occupy the only worker so the next job stays queued.
-        let blocker = {
-            let gate = Arc::clone(&gate);
-            pool.submit(move || {
-                gate.wait();
-            })
-        };
-        let victim = {
-            let ran = Arc::clone(&ran);
-            pool.submit(move || {
-                ran.fetch_add(1, Ordering::SeqCst);
-            })
-        };
-        assert_eq!(victim.status(), JobStatus::Queued);
-        assert!(victim.cancel(), "queued job must be cancellable");
-        assert!(!victim.cancel(), "second cancel is a no-op");
-        gate.wait();
-        assert_eq!(blocker.join(), Some(()));
-        assert_eq!(victim.join(), None, "cancelled job yields no result");
-        assert_eq!(ran.load(Ordering::SeqCst), 0, "cancelled job never ran");
-    }
-
-    #[test]
-    fn cancel_loses_once_running() {
-        let gate = Arc::new(Barrier::new(2));
-        let pool = JobPool::new(1);
-        let handle = {
-            let gate = Arc::clone(&gate);
-            pool.submit(move || {
-                gate.wait();
-                5usize
-            })
-        };
-        gate.wait(); // the job is now provably running
-        assert!(!handle.cancel(), "running job cannot be cancelled");
-        assert_eq!(handle.join(), Some(5));
+        assert_eq!(good.join(), 11);
     }
 
     #[test]
@@ -442,7 +318,7 @@ mod tests {
             })
             .collect();
         for h in handles {
-            h.join().unwrap();
+            h.join();
         }
         assert_eq!(*order.lock(), (0..16).collect::<Vec<usize>>());
     }
@@ -468,7 +344,7 @@ mod tests {
             "drop must drain, not discard"
         );
         for h in handles {
-            assert_eq!(h.join(), Some(()));
+            h.join();
         }
     }
 
@@ -477,46 +353,60 @@ mod tests {
         let pool = JobPool::new(2);
         pool.shutdown_and_join();
         pool.shutdown_and_join(); // idempotent
-        let handle = pool.submit(|| 9usize);
-        assert_eq!(handle.status(), JobStatus::Finished, "ran inline");
-        assert_eq!(handle.join(), Some(9));
+        let handle = pool.submit(|| std::thread::current().id());
+        assert_eq!(handle.join(), std::thread::current().id(), "ran inline");
     }
 
     #[test]
-    fn status_and_finished_at_report_lifecycle() {
-        let pool = JobPool::new(1);
-        let handle = pool.submit(|| 1usize);
-        let copy_status = handle.status();
-        assert!(matches!(
-            copy_status,
-            JobStatus::Queued | JobStatus::Running | JobStatus::Finished
-        ));
-        // finished_at appears exactly when the job completes.
-        while !handle.is_finished() {
-            std::thread::yield_now();
-        }
-        let at = handle.finished_at().expect("finished job has a timestamp");
-        assert!(at.elapsed().as_secs() < 60);
-        assert_eq!(handle.join(), Some(1));
+    fn join_blocks_until_the_job_completes() {
+        let pool = JobPool::new(2);
+        let (release, parked) = std::sync::mpsc::channel::<()>();
+        let done = Arc::new(AtomicUsize::new(0));
+        let handle = {
+            let done = Arc::clone(&done);
+            pool.submit(move || {
+                parked.recv().expect("test holds the sender");
+                done.fetch_add(1, Ordering::SeqCst);
+                1usize
+            })
+        };
+        // Join from a second worker while the job is parked: it must not
+        // return until the job is released.
+        let (joined_tx, joined) = std::sync::mpsc::channel();
+        let joiner = pool.submit(move || joined_tx.send(handle.join()).unwrap());
+        assert!(
+            joined
+                .recv_timeout(std::time::Duration::from_millis(50))
+                .is_err(),
+            "join returned while the job was parked"
+        );
+        assert_eq!(done.load(Ordering::SeqCst), 0, "job parked until released");
+        release.send(()).expect("job holds the receiver");
+        assert_eq!(joined.recv().unwrap(), 1);
+        assert_eq!(done.load(Ordering::SeqCst), 1, "join waited for the body");
+        joiner.join();
     }
 
     #[test]
     fn slow_and_fast_jobs_overlap_across_workers() {
         let pool = JobPool::new(2);
         let gate = Arc::new(Barrier::new(2));
+        let slow_done = Arc::new(AtomicUsize::new(0));
         let slow = {
-            let gate = Arc::clone(&gate);
+            let (gate, slow_done) = (Arc::clone(&gate), Arc::clone(&slow_done));
             pool.submit(move || {
                 gate.wait(); // parks until the fast job has finished
+                slow_done.fetch_add(1, Ordering::SeqCst);
                 "slow"
             })
         };
         let fast = pool.submit(|| "fast");
         // The fast job completes while the slow one is parked at the
         // barrier — queue order does not serialize across workers.
-        assert_eq!(fast.join(), Some("fast"));
-        assert!(slow.finished_at().is_none(), "slow job still parked");
+        assert_eq!(fast.join(), "fast");
+        assert_eq!(slow_done.load(Ordering::SeqCst), 0, "slow job still parked");
         gate.wait();
-        assert_eq!(slow.join(), Some("slow"));
+        assert_eq!(slow.join(), "slow");
+        assert_eq!(slow_done.load(Ordering::SeqCst), 1);
     }
 }

@@ -3,7 +3,7 @@
 //! Mechanizes the ROADMAP's standing invariants as a zero-dependency
 //! static-analysis pass: a lightweight Rust tokenizer ([`lexer`]),
 //! per-file context extraction ([`source`] — test regions, waivers),
-//! nine rules ([`rules`]), and a workspace runner ([`workspace`]).
+//! ten rules ([`rules`]), and a workspace runner ([`workspace`]).
 //!
 //! The linter depends on nothing but `std` — it is the tool that
 //! polices the dependency graph, so it cannot sit on top of it.

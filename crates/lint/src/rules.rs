@@ -6,18 +6,20 @@
 //! full type information would be needed, with the waiver mechanism as
 //! the escape hatch for sanctioned exceptions.
 
+use std::collections::HashMap;
+
 use crate::lexer::{Tok, Token};
 use crate::source::{match_brace, SourceFile};
 
 /// Crates whose analysis output feeds the determinism digest.
-pub const DIGEST_CRATES: [&str; 5] = ["store", "stats", "cluster", "tree", "core"];
+const DIGEST_CRATES: [&str; 5] = ["store", "stats", "cluster", "tree", "core"];
 
 /// Analysis crates bound by the view discipline (R3). `store` is where
 /// `Table` lives, so constructors there may consume tables.
-pub const VIEW_CRATES: [&str; 4] = ["stats", "cluster", "tree", "core"];
+const VIEW_CRATES: [&str; 4] = ["stats", "cluster", "tree", "core"];
 
 /// Serving-path crates bound by panic hygiene (R4).
-pub const PANIC_CRATES: [&str; 2] = ["net", "server"];
+const PANIC_CRATES: [&str; 2] = ["net", "server"];
 
 /// Every rule the linter enforces. The `stale-waiver` pseudo-rule
 /// polices the waivers themselves and cannot be waived.
@@ -45,6 +47,9 @@ pub enum Rule {
     /// R8: every criterion group is present in the committed bench
     /// baseline and gated by some CI `CRITERION_REQUIRE_GROUPS` list.
     BenchGate,
+    /// R9: every `pub fn` / `const` / `static` under `crates/*/src` is
+    /// named outside its own file, its crate's tests and `pub use`s.
+    DeadPub,
     /// Waiver hygiene: unknown rule, missing reason, or a waiver that
     /// suppresses nothing.
     StaleWaiver,
@@ -62,12 +67,13 @@ impl Rule {
             Rule::VendorDeps => "vendor-deps",
             Rule::SafetyComment => "safety-comment",
             Rule::BenchGate => "bench-gate",
+            Rule::DeadPub => "dead-pub",
             Rule::StaleWaiver => "stale-waiver",
         }
     }
 
     /// All rules, in report order.
-    pub fn all() -> [Rule; 9] {
+    pub fn all() -> [Rule; 10] {
         [
             Rule::ExecParallelism,
             Rule::DigestDeterminism,
@@ -77,6 +83,7 @@ impl Rule {
             Rule::VendorDeps,
             Rule::SafetyComment,
             Rule::BenchGate,
+            Rule::DeadPub,
             Rule::StaleWaiver,
         ]
     }
@@ -768,6 +775,92 @@ fn impl_fn_body<'t>(toks: &'t [Token], type_name: &str, fn_name: &str) -> Option
 }
 
 // ---------------------------------------------------------------------
+// R9 — dead public API (cross-file)
+// ---------------------------------------------------------------------
+
+/// R9: a `pub fn` / `pub const` / `pub static` declared in non-test code
+/// under `crates/*/src` must be named by some identifier outside its own
+/// file, outside its own crate's test code, and outside `pub use`
+/// re-exports. rustc's dead-code lint is off for `pub` items, and the
+/// workspace's crate boundaries are internal, so nothing else sees them.
+/// The check is name-level: an unrelated item of the same name hides a
+/// dead one (a false negative, never a false positive). `refs_only`
+/// files (`benchmark/src`) count as references and are never checked.
+pub fn rule_dead_pub(files: &[SourceFile], refs_only: &[SourceFile], findings: &mut Vec<Finding>) {
+    let all: Vec<&SourceFile> = files.iter().chain(refs_only).collect();
+    // name → (file index, in test code) of every use outside `pub use`.
+    let mut uses: HashMap<&str, Vec<(usize, bool)>> = HashMap::new();
+    for (f, file) in all.iter().enumerate() {
+        let mut in_pub_use = false;
+        for (i, t) in file.tokens.iter().enumerate() {
+            if seq_at(&file.tokens, i, &["pub", "use"]) {
+                in_pub_use = true;
+            } else if t.is_punct(';') {
+                in_pub_use = false;
+            } else if let Some(name) = t.ident().filter(|_| !in_pub_use) {
+                uses.entry(name)
+                    .or_default()
+                    .push((f, file.in_test(t.line)));
+            }
+        }
+    }
+    for (f, file) in files.iter().enumerate() {
+        if !file.rel_path.starts_with("crates/") || !file.rel_path.contains("/src/") {
+            continue;
+        }
+        for (line, name) in pub_items(file) {
+            let live = uses.get(name).is_some_and(|us| {
+                us.iter()
+                    .any(|&(g, test)| g != f && !(test && all[g].crate_name == file.crate_name))
+            });
+            if !live {
+                findings.push(finding(
+                    &file.rel_path,
+                    line,
+                    Rule::DeadPub,
+                    format!(
+                        "pub item `{name}` is named nowhere outside this file, its crate's \
+                         tests and `pub use`s — delete it, make it private, or waive with \
+                         the contract it serves"
+                    ),
+                ));
+            }
+        }
+    }
+}
+
+/// `(line, name)` of every non-test `pub [const|async|unsafe|extern ".."]
+/// fn NAME`, `pub const NAME:` and `pub static [mut] NAME:` in `file`.
+/// `pub(crate)`-style restricted items are not `pub` API.
+fn pub_items(file: &SourceFile) -> Vec<(usize, &str)> {
+    const MODIFIERS: [&str; 6] = ["const", "async", "unsafe", "extern", "static", "mut"];
+    let toks = &file.tokens;
+    let mut out = Vec::new();
+    for i in 0..toks.len() {
+        if !toks[i].is_ident("pub") || file.in_test(toks[i].line) {
+            continue;
+        }
+        let mut j = i + 1;
+        while toks.get(j).is_some_and(|t| {
+            MODIFIERS.iter().any(|m| t.is_ident(m)) || matches!(t.tok, Tok::Str(_))
+        }) {
+            j += 1;
+        }
+        let at = if toks.get(j).is_some_and(|t| t.is_ident("fn")) {
+            j + 1
+        } else if j > i + 1 && toks.get(j + 1).is_some_and(|t| t.is_punct(':')) {
+            j
+        } else {
+            continue;
+        };
+        if let Some(name) = toks.get(at).and_then(Token::ident) {
+            out.push((toks[i].line, name));
+        }
+    }
+    out
+}
+
+// ---------------------------------------------------------------------
 // R6 — vendor discipline (manifests)
 // ---------------------------------------------------------------------
 
@@ -1148,4 +1241,68 @@ fn json_object_keys(text: &str) -> Vec<String> {
         i += 1;
     }
     keys
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `dead-pub` findings (`file:line`) over linted and reference-only
+    /// sources.
+    fn dead_pub(files: &[(&str, &str)], refs_only: &[(&str, &str)]) -> Vec<String> {
+        let parse = |set: &[(&str, &str)]| -> Vec<SourceFile> {
+            set.iter().map(|(p, s)| SourceFile::parse(p, s)).collect()
+        };
+        let mut findings = Vec::new();
+        rule_dead_pub(&parse(files), &parse(refs_only), &mut findings);
+        findings
+            .iter()
+            .map(|f| format!("{}:{}", f.file, f.line))
+            .collect()
+    }
+
+    const DEF: (&str, &str) = ("crates/a/src/lib.rs", "pub fn f() {}\nfn g() { f(); }\n");
+
+    #[test]
+    fn dead_pub_ignores_own_file_reexports_and_own_crate_tests() {
+        for user in [
+            ("src/lib.rs", "pub use a::{f, g};"),
+            (
+                "crates/a/src/x.rs",
+                "#[cfg(test)]\nmod t { fn t() { f(); } }",
+            ),
+            ("crates/a/tests/it.rs", "fn t() { a::f(); }"),
+        ] {
+            assert_eq!(
+                dead_pub(&[DEF, user], &[]),
+                ["crates/a/src/lib.rs:1"],
+                "{user:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn dead_pub_counts_root_tests_other_crates_tests_and_benchmark() {
+        for user in [
+            ("tests/it.rs", "fn t() { a::f(); }"),
+            (
+                "crates/b/src/lib.rs",
+                "#[cfg(test)]\nmod t { fn t() { a::f(); } }",
+            ),
+        ] {
+            assert!(dead_pub(&[DEF, user], &[]).is_empty(), "{user:?}");
+        }
+        let bench = ("benchmark/src/main.rs", "pub fn main() { a::f(); }");
+        assert!(dead_pub(&[DEF], &[bench]).is_empty());
+    }
+
+    #[test]
+    fn dead_pub_checks_only_non_test_unrestricted_items() {
+        let src = "pub(crate) fn a() {}\n#[cfg(test)]\nmod t { pub fn b() {} }\n\
+                   pub const fn c() {}\npub static mut D: u8 = 0;\npub struct E { pub e: u8 }\n";
+        assert_eq!(
+            dead_pub(&[("crates/a/src/lib.rs", src)], &[]),
+            ["crates/a/src/lib.rs:4", "crates/a/src/lib.rs:5"]
+        );
+    }
 }

@@ -97,19 +97,24 @@ pub fn lint_root(root: &Path) -> Result<LintReport, String> {
         ));
     }
 
-    // ---- Rust sources under the four walk roots. -------------------
-    let mut rs_paths: Vec<PathBuf> = Vec::new();
-    for walk_root in ["crates", "src", "tests", "examples"] {
-        collect_rs(&root.join(walk_root), &mut rs_paths);
-    }
-    rs_paths.sort();
-    let mut files: Vec<SourceFile> = Vec::new();
-    for path in &rs_paths {
-        let Ok(text) = fs::read_to_string(path) else {
-            continue;
-        };
-        files.push(SourceFile::parse(&rel_of(root, path), &text));
-    }
+    // ---- Rust sources under the four walk roots, plus `benchmark/src`,
+    // which is read for `dead-pub` references only and never linted. --
+    let parse_under = |walk_roots: &[&str]| -> Vec<SourceFile> {
+        let mut rs_paths: Vec<PathBuf> = Vec::new();
+        for walk_root in walk_roots {
+            collect_rs(&root.join(walk_root), &mut rs_paths);
+        }
+        rs_paths.sort();
+        rs_paths
+            .iter()
+            .filter_map(|path| {
+                let text = fs::read_to_string(path).ok()?;
+                Some(SourceFile::parse(&rel_of(root, path), &text))
+            })
+            .collect()
+    };
+    let files = parse_under(&["crates", "src", "tests", "examples"]);
+    let benchmark_files = parse_under(&["benchmark/src"]);
 
     // ---- Per-file rules. -------------------------------------------
     let mut findings: Vec<Finding> = Vec::new();
@@ -131,6 +136,7 @@ pub fn lint_root(root: &Path) -> Result<LintReport, String> {
         rules::rule_exec_budget(&budget_sites, &mut findings);
     }
     rules::rule_wire_schema(&files, &mut findings);
+    rules::rule_dead_pub(&files, &benchmark_files, &mut findings);
 
     let mut waivers: Vec<(String, Waiver, bool)> = Vec::new(); // (file, waiver, used)
     for file in &files {

@@ -1,8 +1,8 @@
 //! The exec crate owns the thread budget and may spawn.
-pub fn budget() -> usize {
+fn budget() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-pub fn run() {
+fn run() {
     std::thread::spawn(|| {}).join().ok();
 }

@@ -1,5 +1,5 @@
 //! Serving crate: fallible paths return Option; unwrap only in tests.
-pub fn handle(body: Option<&str>) -> Option<usize> {
+fn handle(body: Option<&str>) -> Option<usize> {
     body?.parse().ok()
 }
 

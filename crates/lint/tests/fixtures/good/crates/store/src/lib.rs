@@ -6,7 +6,7 @@ pub fn sum(m: &BTreeMap<u32, u32>) -> u32 {
     m.values().sum()
 }
 
-pub fn sorted_ids(raw: &[u32]) -> Vec<u32> {
+fn sorted_ids(raw: &[u32]) -> Vec<u32> {
     let set: HashSet<u32> = raw.iter().copied().collect();
     // lint: allow(digest-determinism) — hash order cannot leak: sorted on the next line
     let mut ids: Vec<u32> = set.into_iter().collect();

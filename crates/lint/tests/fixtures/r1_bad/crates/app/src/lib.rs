@@ -1,4 +1,4 @@
 //! Fixture: thread primitives outside crates/exec must trip R1.
-pub fn go() {
+fn go() {
     std::thread::spawn(|| {});
 }

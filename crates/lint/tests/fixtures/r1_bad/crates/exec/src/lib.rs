@@ -1,7 +1,7 @@
 //! Fixture: two budget call sites must trip the exactly-one check.
-pub fn budget_a() -> usize {
+fn budget_a() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
-pub fn budget_b() -> usize {
+fn budget_b() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }

@@ -2,12 +2,12 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
-pub fn timed() -> u128 {
+fn timed() -> u128 {
     let start = Instant::now();
     start.elapsed().as_nanos()
 }
 
-pub fn sum(m: &HashMap<u32, u32>) -> u32 {
+fn sum(m: &HashMap<u32, u32>) -> u32 {
     let copy: HashMap<u32, u32> = m.clone();
     let mut total = 0;
     for v in copy.values() {

@@ -1,7 +1,7 @@
 //! Fixture: an analysis fn taking Table by value must trip R3.
 pub struct Table;
 
-pub fn analyze(table: Table, k: usize) -> usize {
+fn analyze(table: Table, k: usize) -> usize {
     let _ = table;
     k
 }

@@ -1,5 +1,5 @@
 //! Fixture: unwrap/expect/panic on a serving path must trip R4.
-pub fn handle(body: Option<&str>) -> usize {
+fn handle(body: Option<&str>) -> usize {
     let text = body.unwrap();
     if text.is_empty() {
         panic!("empty body");

@@ -1,5 +1,5 @@
 //! Fixture: a Command variant absent from from_json must trip R5.
-pub const WIRE_VERSION: u64 = 1;
+const WIRE_VERSION: u64 = 1;
 
 pub enum Command {
     Map,
@@ -7,14 +7,14 @@ pub enum Command {
 }
 
 impl Command {
-    pub fn to_json(&self) -> &'static str {
+    fn to_json(&self) -> &'static str {
         match self {
             Command::Map => "map",
             Command::Zoom(_) => "zoom",
         }
     }
 
-    pub fn from_json(text: &str) -> Option<Command> {
+    fn from_json(text: &str) -> Option<Command> {
         match text {
             "map" => Some(Command::Map),
             _ => None,

@@ -1,4 +1,4 @@
 //! Fixture: an unsafe block without a SAFETY comment must trip R7.
-pub fn deref(p: *const u8) -> u8 {
+fn deref(p: *const u8) -> u8 {
     unsafe { *p }
 }

@@ -1,9 +1,9 @@
 //! Fixture: defective waivers are themselves findings.
 
 // lint: allow(panic-hygiene) — suppresses nothing on the next line
-pub fn fine() {}
+fn fine() {}
 
 // lint: allow(made-up-rule) — no such rule exists
-pub fn also_fine() {}
+fn also_fine() {}
 
-pub fn reasonless() {} // lint: allow(exec-parallelism)
+fn reasonless() {} // lint: allow(exec-parallelism)

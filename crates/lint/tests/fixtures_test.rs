@@ -123,6 +123,21 @@ fn r8_ungated_bench_groups_trip() {
 }
 
 #[test]
+fn r9_unreferenced_pub_items_trip() {
+    let report = fixture("r9_bad");
+    assert_eq!(rules_hit(&report), vec![Rule::DeadPub]);
+    let at: Vec<(&str, usize)> = report
+        .findings
+        .iter()
+        .map(|f| (f.file.as_str(), f.line))
+        .collect();
+    // helper (re-export only), LIMIT (own file only), tested_only (own
+    // crate's tests only); `live` is called from another crate.
+    let lib = "crates/store/src/lib.rs";
+    assert_eq!(at, [(lib, 7), (lib, 11), (lib, 13)], "{}", report.to_text());
+}
+
+#[test]
 fn defective_waivers_are_findings() {
     let report = fixture("stale_waiver");
     assert_eq!(rules_hit(&report), vec![Rule::StaleWaiver]);

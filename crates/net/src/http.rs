@@ -12,10 +12,10 @@ use std::io::{BufRead, Write};
 use std::time::{Duration, Instant};
 
 /// Max bytes for the request line plus all headers.
-pub const MAX_HEAD_BYTES: usize = 8 * 1024;
+const MAX_HEAD_BYTES: usize = 8 * 1024;
 
 /// Max number of request headers.
-pub const MAX_HEADERS: usize = 64;
+const MAX_HEADERS: usize = 64;
 
 /// How request reading can fail, mapped by the caller onto HTTP statuses
 /// (or onto a silent close for torn connections).

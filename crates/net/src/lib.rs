@@ -240,13 +240,6 @@ impl NetServer {
         self.shared.tables.lock().insert(name.into(), table);
     }
 
-    /// Registered table names, ascending.
-    pub fn table_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.shared.tables.lock().keys().cloned().collect();
-        names.sort_unstable();
-        names
-    }
-
     /// The engine this transport fronts.
     pub fn engine(&self) -> &Arc<AsyncSessionServer> {
         &self.shared.engine
@@ -275,14 +268,6 @@ impl NetServer {
         if let Some(handle) = handle {
             handle.join();
         }
-    }
-
-    /// Requests handled and requests answered with an error status.
-    pub fn request_counts(&self) -> (u64, u64) {
-        (
-            self.shared.requests.load(Ordering::Relaxed),
-            self.shared.rejected.load(Ordering::Relaxed),
-        )
     }
 }
 

@@ -5,7 +5,7 @@
 //! CLARA → CART` pipeline for every user who performs it; with a million
 //! users the cluster engine would spend almost all its time recomputing
 //! identical results. [`AnalysisCache`] implements
-//! [`AnalysisMemo`](blaeu_core::AnalysisMemo) over the exact keys of
+//! [`AnalysisMemo`] over the exact keys of
 //! `blaeu_core::cache`, so sessions attached to one cache share every
 //! analysis:
 //!

@@ -163,7 +163,7 @@ pub fn journal_path(dir: &Path, id: SessionId) -> PathBuf {
 }
 
 /// Session id encoded in a journal file name (`session-<id>.jnl`).
-pub fn journal_file_id(name: &str) -> Option<SessionId> {
+fn journal_file_id(name: &str) -> Option<SessionId> {
     name.strip_prefix("session-")?
         .strip_suffix(".jnl")?
         .parse()

@@ -37,8 +37,8 @@ pub mod journal;
 
 pub use cache::{AnalysisCache, CacheStats};
 pub use journal::{
-    journal_file_id, journal_path, read_journal, FsyncPolicy, JournalDefect, JournalRecord,
-    JournalStats, ReadJournal, RecordedOutcome, SessionJournal,
+    journal_path, read_journal, FsyncPolicy, JournalDefect, JournalRecord, JournalStats,
+    ReadJournal, RecordedOutcome, SessionJournal,
 };
 
 use std::collections::{HashMap, VecDeque};
@@ -149,7 +149,7 @@ impl std::fmt::Debug for ResponseHandle {
 
 impl ResponseHandle {
     /// True once the response is available (join won't block).
-    pub fn is_ready(&self) -> bool {
+    fn is_ready(&self) -> bool {
         !matches!(*self.slot.state.lock(), SlotState::Waiting)
     }
 
@@ -687,26 +687,6 @@ impl AsyncSessionServer {
     /// as `capacity`.
     pub fn queue_capacity(&self) -> usize {
         self.queue_capacity
-    }
-
-    /// Pending (queued, not yet executing) commands of one session —
-    /// `None` for unknown/closed sessions.
-    pub fn queue_depth(&self, id: SessionId) -> Option<usize> {
-        let queue = self.queues.lock().get(&id).cloned()?;
-        let depth = queue.state.lock().pending.len();
-        Some(depth)
-    }
-
-    /// Pending commands per live session, ascending by session id — the
-    /// queue-depth snapshot a monitoring endpoint reports.
-    pub fn queue_depths(&self) -> Vec<(SessionId, usize)> {
-        let queues: Vec<Arc<SessionQueue>> = self.queues.lock().values().cloned().collect();
-        let mut depths: Vec<(SessionId, usize)> = queues
-            .iter()
-            .map(|q| (q.id, q.state.lock().pending.len()))
-            .collect();
-        depths.sort_unstable_by_key(|&(id, _)| id);
-        depths
     }
 
     /// The underlying session registry — for synchronous access outside
@@ -1323,7 +1303,7 @@ mod tests {
             "expected backpressure, got {overflow:?}"
         );
         gate.wait();
-        parked.join().unwrap();
+        parked.join();
         assert!(matches!(a.join(), Ok(Response::Depth(1))));
         assert!(matches!(b.join(), Ok(Response::Depth(1))));
         // Capacity freed: submitting works again.
@@ -1363,11 +1343,14 @@ mod tests {
             ),
             "clamped capacity not reported: {overflow:?}"
         );
-        assert_eq!(srv.queue_depth(id), Some(1));
-        assert_eq!(srv.queue_depths(), vec![(id, 1)]);
-        assert_eq!(srv.queue_depth(999), None);
+        let pending: Vec<_> = srv
+            .session_infos()
+            .iter()
+            .map(|i| (i.id, i.pending))
+            .collect();
+        assert_eq!(pending, vec![(id, 1)]);
         gate.wait();
-        parked.join().unwrap();
+        parked.join();
         assert!(accepted.join().is_ok());
     }
 
@@ -1390,7 +1373,7 @@ mod tests {
             .collect();
         srv.close(id).unwrap();
         gate.wait();
-        parked.join().unwrap();
+        parked.join();
         // Every handle resolves — with UnknownSession, not a hang.
         for handle in handles {
             assert!(matches!(
@@ -1515,7 +1498,7 @@ mod tests {
         let nc = srv.submit(newcomer, Command::Depth).unwrap();
         gate.wait();
         for blocker in blockers {
-            blocker.join().unwrap();
+            blocker.join();
         }
         nc.wait();
         let nc_done = nc.finished_at().expect("waited");
@@ -1609,7 +1592,7 @@ mod tests {
         let (first, stream) = srv.submit_progressive(id).unwrap();
         let superseder = srv.submit(id, Command::Depth).unwrap();
         gate.wait();
-        parked.join().unwrap();
+        parked.join();
         // Level 0 still resolves on its handle…
         assert!(matches!(first.join(), Ok(Response::MapDelta { .. })));
         assert!(superseder.join().is_ok());

@@ -85,7 +85,7 @@ impl Discretizer {
 
     /// Equal-width bins over `[lo, hi]` (at least two), or a single bin
     /// when `lo == hi`.
-    pub fn equal_width(lo: f64, hi: f64, nbins: usize) -> Self {
+    fn equal_width(lo: f64, hi: f64, nbins: usize) -> Self {
         if lo == hi {
             return Discretizer { edges: Vec::new() };
         }

@@ -106,7 +106,7 @@ fn ln_gamma(x: f64) -> f64 {
 
 /// Upper-tail p-value of the chi-squared distribution with `dof` degrees
 /// of freedom at `statistic`.
-pub fn chi2_p_value(statistic: f64, dof: usize) -> f64 {
+fn chi2_p_value(statistic: f64, dof: usize) -> f64 {
     if dof == 0 {
         return 1.0;
     }

@@ -62,7 +62,7 @@ impl ColumnSummary {
 }
 
 /// Linear-interpolation quantile of a **sorted** slice, `q ∈ [0, 1]`.
-pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
+fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
         return f64::NAN;
     }

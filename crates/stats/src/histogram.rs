@@ -92,7 +92,7 @@ pub enum HistogramMode {
 
 impl HistogramMode {
     /// Number of count slots this layout produces.
-    pub fn bin_count(&self) -> usize {
+    fn bin_count(&self) -> usize {
         match self {
             HistogramMode::Empty | HistogramMode::Flat { .. } => 1,
             HistogramMode::Binned { nbins, .. } => *nbins,

@@ -36,7 +36,7 @@ pub mod mi;
 pub mod scatter;
 
 pub use binning::{discretize, BinRule, BinStrategy, DiscreteColumn, Discretizer};
-pub use chi2::{chi2_p_value, chi2_test, Chi2Test};
+pub use chi2::{chi2_test, Chi2Test};
 pub use contingency::ContingencyTable;
 pub use correlation::{pearson, ranks, spearman};
 pub use describe::{
@@ -50,8 +50,8 @@ pub use histogram::{
     HistogramPartial, HistogramSketch,
 };
 pub use mi::{
-    dep_matrix_shard_spec, dependency_matrix, finalize_dep_cells, merge_dep_cells,
-    mutual_information, normalized_mutual_information, DepMatrixSketch, DependencyMatrix,
-    DependencyMeasure, DependencyOptions, MiNormalization,
+    dependency_matrix, finalize_dep_cells, merge_dep_cells, mutual_information,
+    normalized_mutual_information, DepMatrixSketch, DependencyMatrix, DependencyMeasure,
+    DependencyOptions, MiNormalization,
 };
 pub use scatter::ScatterGrid;

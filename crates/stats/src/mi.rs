@@ -126,7 +126,7 @@ fn pair_shard_size(npairs: usize) -> usize {
 
 /// The canonical shard layout of an `m`-column dependency sweep — a pure
 /// function of the column count, computable without data.
-pub fn dep_matrix_shard_spec(m: usize) -> blaeu_exec::ShardSpec {
+fn dep_matrix_shard_spec(m: usize) -> blaeu_exec::ShardSpec {
     let npairs = m * m.saturating_sub(1) / 2;
     blaeu_exec::ShardSpec::with_shard_size(npairs, pair_shard_size(npairs))
 }
@@ -157,34 +157,6 @@ impl DependencyMatrix {
     /// Dependency between columns `i` and `j`.
     pub fn get(&self, i: usize, j: usize) -> f64 {
         self.values[i * self.names.len() + j]
-    }
-
-    /// Dependency by column names, if both exist.
-    pub fn get_by_name(&self, a: &str, b: &str) -> Option<f64> {
-        let i = self.names.iter().position(|n| n == a)?;
-        let j = self.names.iter().position(|n| n == b)?;
-        Some(self.get(i, j))
-    }
-
-    /// Converts dependency to distance: `d = 1 − dependency`, clamped to
-    /// `[0, 1]`. This is the matrix Blaeu clusters to find themes.
-    pub fn to_distances(&self) -> Vec<f64> {
-        self.values
-            .iter()
-            .map(|&v| (1.0 - v).clamp(0.0, 1.0))
-            .collect()
-    }
-
-    /// Strongest `k` edges (i < j) by weight, descending.
-    pub fn top_edges(&self, k: usize) -> Vec<(usize, usize, f64)> {
-        let n = self.names.len();
-        let mut edges: Vec<(usize, usize, f64)> = (0..n)
-            .flat_map(|i| ((i + 1)..n).map(move |j| (i, j)))
-            .map(|(i, j)| (i, j, self.get(i, j)))
-            .collect();
-        edges.sort_by(|a, b| b.2.total_cmp(&a.2));
-        edges.truncate(k);
-        edges
     }
 }
 
@@ -250,15 +222,15 @@ impl DepMatrixSketch {
         &self.names
     }
 
-    /// The canonical pair shard layout (matches
-    /// [`dep_matrix_shard_spec`] for the sketch's column count).
+    /// The canonical pair shard layout, a pure function of the sketch's
+    /// column count.
     pub fn shard_spec(&self) -> &blaeu_exec::ShardSpec {
         &self.spec
     }
 
     /// Measures one canonical shard of the pair sweep, returning its cell
     /// values in pair order — the unit of work a worker executes.
-    pub fn run_shard(&self, s: usize) -> Vec<f64> {
+    fn run_shard(&self, s: usize) -> Vec<f64> {
         self.pairs[self.spec.range(s)]
             .iter()
             .map(|&(i, j)| {
@@ -454,8 +426,7 @@ mod tests {
         let dm = dependency_matrix(&t, &["a", "b", "c"], &DependencyOptions::default()).unwrap();
         assert_eq!(dm.len(), 3);
         assert!((dm.get(0, 0) - 1.0).abs() < 1e-12);
-        let ab = dm.get_by_name("a", "b").unwrap();
-        let ac = dm.get_by_name("a", "c").unwrap();
+        let (ab, ac) = (dm.get(0, 1), dm.get(0, 2));
         assert!(ab > 0.8, "a~b dependency should be strong, got {ab}");
         assert!(ac < 0.35, "a~c dependency should be weak, got {ac}");
         assert_eq!(dm.get(0, 1), dm.get(1, 0), "symmetric");
@@ -516,27 +487,6 @@ mod tests {
     }
 
     #[test]
-    fn top_edges_sorted_descending() {
-        let t = toy_table(400);
-        let dm =
-            dependency_matrix(&t, &["a", "b", "c", "d"], &DependencyOptions::default()).unwrap();
-        let edges = dm.top_edges(3);
-        assert_eq!(edges.len(), 3);
-        assert!(edges.windows(2).all(|w| w[0].2 >= w[1].2));
-        // Strongest edge should be a-b.
-        assert_eq!((edges[0].0, edges[0].1), (0, 1));
-    }
-
-    #[test]
-    fn distances_complement_dependencies() {
-        let t = toy_table(300);
-        let dm = dependency_matrix(&t, &["a", "b"], &DependencyOptions::default()).unwrap();
-        let d = dm.to_distances();
-        assert!((d[0] - 0.0).abs() < 1e-12, "diagonal distance is 0");
-        assert!((d[1] - (1.0 - dm.get(0, 1))).abs() < 1e-12);
-    }
-
-    #[test]
     fn unknown_column_errors() {
         let t = toy_table(50);
         assert!(dependency_matrix(&t, &["a", "ghost"], &DependencyOptions::default()).is_err());
@@ -548,7 +498,6 @@ mod tests {
         let dm = dependency_matrix(&t, &["a"], &DependencyOptions::default()).unwrap();
         assert_eq!(dm.len(), 1);
         assert_eq!(dm.get(0, 0), 1.0);
-        assert!(dm.top_edges(5).is_empty());
     }
 
     #[test]

@@ -95,16 +95,6 @@ impl Bitmap {
         self.words[index / WORD_BITS] &= !(1u64 << (index % WORD_BITS));
     }
 
-    /// Writes `value` to the bit at `index`.
-    #[inline]
-    pub fn put(&mut self, index: usize, value: bool) {
-        if value {
-            self.set(index);
-        } else {
-            self.clear(index);
-        }
-    }
-
     /// Number of set bits.
     pub fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
@@ -113,16 +103,6 @@ impl Bitmap {
     /// Number of clear bits.
     pub fn count_zeros(&self) -> usize {
         self.len - self.count_ones()
-    }
-
-    /// True when every bit is set.
-    pub fn all_set(&self) -> bool {
-        self.count_ones() == self.len
-    }
-
-    /// True when no bit is set.
-    pub fn none_set(&self) -> bool {
-        self.count_ones() == 0
     }
 
     /// In-place intersection with another bitmap of the same length.
@@ -351,8 +331,7 @@ mod tests {
         let bm = Bitmap::new_clear(100);
         assert_eq!(bm.len(), 100);
         assert_eq!(bm.count_ones(), 0);
-        assert!(bm.none_set());
-        assert!(!bm.all_set());
+        assert_eq!(bm.count_zeros(), 100);
     }
 
     #[test]
@@ -360,7 +339,7 @@ mod tests {
         for len in [0usize, 1, 63, 64, 65, 127, 128, 200] {
             let bm = Bitmap::new_set(len);
             assert_eq!(bm.count_ones(), len, "len={len}");
-            assert!(bm.all_set());
+            assert_eq!(bm.count_zeros(), 0, "len={len}");
         }
     }
 
@@ -376,15 +355,6 @@ mod tests {
         bm.clear(64);
         assert!(!bm.get(64));
         assert_eq!(bm.count_ones(), 2);
-    }
-
-    #[test]
-    fn put_writes_both_values() {
-        let mut bm = Bitmap::new_clear(10);
-        bm.put(3, true);
-        assert!(bm.get(3));
-        bm.put(3, false);
-        assert!(!bm.get(3));
     }
 
     #[test]
@@ -438,7 +408,7 @@ mod tests {
         let bm = Bitmap::new_clear(0);
         assert!(bm.is_empty());
         assert_eq!(bm.iter_ones().count(), 0);
-        assert!(bm.all_set(), "vacuously true");
+        assert_eq!(bm.count_zeros(), 0);
     }
 
     #[test]

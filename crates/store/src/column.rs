@@ -330,41 +330,6 @@ impl Column {
         Column::Bool { data, validity }
     }
 
-    /// Builds a column of the given type from row [`Value`]s.
-    ///
-    /// NULLs are accepted anywhere; non-NULL values must be convertible to
-    /// `dtype` (integers widen to float, anything renders to a categorical
-    /// label via `Display`).
-    pub fn from_values(values: &[Value], dtype: DataType) -> Self {
-        match dtype {
-            DataType::Float64 => Column::from_f64s(values.iter().map(|v| v.as_f64())),
-            DataType::Int64 => Column::from_i64s(values.iter().map(|v| match v {
-                Value::Int(i) => Some(*i),
-                Value::Float(f) => Some(*f as i64),
-                Value::Bool(b) => Some(i64::from(*b)),
-                _ => None,
-            })),
-            DataType::Categorical => {
-                let rendered: Vec<Option<String>> = values
-                    .iter()
-                    .map(|v| {
-                        if v.is_null() {
-                            None
-                        } else {
-                            Some(v.to_string())
-                        }
-                    })
-                    .collect();
-                Column::from_strs(rendered.iter().map(|o| o.as_deref()))
-            }
-            DataType::Bool => Column::from_bools(values.iter().map(|v| match v {
-                Value::Bool(b) => Some(*b),
-                Value::Int(i) => Some(*i != 0),
-                _ => None,
-            })),
-        }
-    }
-
     /// Number of rows.
     pub fn len(&self) -> usize {
         match self {
@@ -756,23 +721,6 @@ mod tests {
         let taken = col.take(&[1, 2]);
         assert_eq!(taken.get(0), Value::Null);
         assert_eq!(taken.get(1), Value::Float(3.0));
-    }
-
-    #[test]
-    fn from_values_float() {
-        let vals = [Value::Int(1), Value::Null, Value::Float(2.5)];
-        let col = Column::from_values(&vals, DataType::Float64);
-        assert_eq!(col.get(0), Value::Float(1.0));
-        assert_eq!(col.get(1), Value::Null);
-    }
-
-    #[test]
-    fn from_values_categorical_renders() {
-        let vals = [Value::Int(1), Value::Str("a".into()), Value::Null];
-        let col = Column::from_values(&vals, DataType::Categorical);
-        assert_eq!(col.get(0), Value::Str("1".into()));
-        assert_eq!(col.get(1), Value::Str("a".into()));
-        assert_eq!(col.get(2), Value::Null);
     }
 
     #[test]

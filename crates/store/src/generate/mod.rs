@@ -14,7 +14,7 @@ mod planted;
 
 pub use hollywood::{hollywood, HollywoodConfig};
 pub use lofar::{lofar, LofarConfig};
-pub use oecd::{oecd, LaborCluster, OecdConfig, COUNTRIES};
+pub use oecd::{oecd, LaborCluster, OecdConfig};
 pub use planted::{planted, ColumnShape, PlantedConfig, PlantedTruth, ThemeSpec};
 
 use rand::Rng;

@@ -46,7 +46,7 @@ impl Default for OecdConfig {
 }
 
 /// 31 member countries, as in the paper's dataset.
-pub const COUNTRIES: &[&str] = &[
+const COUNTRIES: &[&str] = &[
     "Australia",
     "Austria",
     "Belgium",
@@ -130,27 +130,6 @@ pub enum LaborCluster {
     BalancedRich = 1,
     /// < 20 % long hours and average income < 22 k$.
     BalancedPoor = 2,
-}
-
-impl LaborCluster {
-    /// Decodes a planted truth label.
-    pub fn from_label(label: usize) -> Option<Self> {
-        match label {
-            0 => Some(LaborCluster::Overworked),
-            1 => Some(LaborCluster::BalancedRich),
-            2 => Some(LaborCluster::BalancedPoor),
-            _ => None,
-        }
-    }
-
-    /// Human-readable description matching the paper's Figure 1b regions.
-    pub fn describe(self) -> &'static str {
-        match self {
-            LaborCluster::Overworked => "% employees working long hours >= 20",
-            LaborCluster::BalancedRich => "long hours < 20, average income >= 22k$",
-            LaborCluster::BalancedPoor => "long hours < 20, average income < 22k$",
-        }
-    }
 }
 
 fn pick_country(rng: &mut StoreRng, cluster: usize) -> &'static str {
@@ -407,13 +386,6 @@ mod tests {
                 .null_count(),
             0
         );
-    }
-
-    #[test]
-    fn labor_cluster_decoding() {
-        assert_eq!(LaborCluster::from_label(0), Some(LaborCluster::Overworked));
-        assert_eq!(LaborCluster::from_label(7), None);
-        assert!(LaborCluster::BalancedRich.describe().contains("22k$"));
     }
 
     #[test]

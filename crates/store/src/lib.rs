@@ -48,10 +48,7 @@ pub use csv::{
 pub use error::{Result, StoreError};
 pub use predicate::{Bound, Predicate};
 pub use query::SelectProject;
-pub use sample::{
-    bernoulli_sample, prefix_sample, rng_from_seed, sample_table, uniform_sample,
-    MultiScaleSampler, StoreRng,
-};
+pub use sample::{prefix_sample, rng_from_seed, uniform_sample, MultiScaleSampler, StoreRng};
 pub use schema::{ColumnRole, Field, Schema};
 pub use snapshot::{checksum64, read_snapshot_bytes, write_snapshot_bytes};
 pub use table::{Table, TableBuilder};

@@ -66,16 +66,6 @@ impl SelectProject {
         }
     }
 
-    /// Executes only the selection, returning matching row indices of the
-    /// *input* table (useful when the caller wants to keep working with
-    /// positions rather than a materialized copy).
-    ///
-    /// # Errors
-    /// Propagates predicate evaluation errors.
-    pub fn select_rows(&self, table: &Table) -> Result<Vec<u32>> {
-        self.predicate.select(table)
-    }
-
     /// Applies the selection to a view, emitting a narrowed view instead of
     /// a materialized table. The projection does not restrict the result —
     /// views share all columns of their table — but it is preserved in the
@@ -166,8 +156,8 @@ mod tests {
         assert!(std::sync::Arc::ptr_eq(narrowed.table(), &t), "shared table");
         // Same rows as the materializing path.
         assert_eq!(
-            narrowed.base_rows().unwrap().to_vec(),
-            q.select_rows(&t).unwrap()
+            *narrowed.rows_shared().unwrap(),
+            q.predicate.select(&t).unwrap()
         );
     }
 
@@ -177,7 +167,7 @@ mod tests {
         let q = SelectProject::all()
             .and_where(Predicate::lt("hours", 20.0))
             .and_where(Predicate::ge("income", 25.0));
-        let rows = q.select_rows(&t).unwrap();
+        let rows = q.predicate.select(&t).unwrap();
         assert_eq!(rows, vec![0, 1]);
     }
 

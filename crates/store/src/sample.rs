@@ -2,10 +2,9 @@
 //!
 //! All of Blaeu's pipeline stages are time consuming, so the system "relies
 //! heavily on sampling": after each zoom it takes a few thousand rows from
-//! the database and computes the map on those. Three samplers are provided:
+//! the database and computes the map on those. Two samplers are provided:
 //!
 //! * [`uniform_sample`] — classic uniform sampling without replacement.
-//! * [`bernoulli_sample`] — per-row coin flip (streaming friendly).
 //! * [`MultiScaleSampler`] — the paper's *multi-scale* scheme: one seeded
 //!   shuffle whose prefixes are valid uniform samples at every size, so
 //!   samples are **nested** (`sample(m) ⊆ sample(n)` for `m ≤ n`) and
@@ -16,9 +15,6 @@
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-
-use crate::error::{Result, StoreError};
-use crate::table::Table;
 
 /// Deterministic RNG used across the engine (seeded, portable).
 pub type StoreRng = ChaCha8Rng;
@@ -50,26 +46,6 @@ pub fn uniform_sample(n: usize, k: usize, seed: u64) -> Vec<u32> {
     out
 }
 
-/// Keeps each of the `n` rows independently with probability `p`.
-///
-/// # Errors
-/// Returns [`StoreError::InvalidArgument`] when `p` is outside `[0, 1]`.
-pub fn bernoulli_sample(n: usize, p: f64, seed: u64) -> Result<Vec<u32>> {
-    if !(0.0..=1.0).contains(&p) {
-        return Err(StoreError::InvalidArgument(format!(
-            "Bernoulli probability must be in [0,1], got {p}"
-        )));
-    }
-    let mut rng = rng_from_seed(seed);
-    let mut out = Vec::with_capacity((n as f64 * p) as usize + 16);
-    for i in 0..n {
-        if rng.gen::<f64>() < p {
-            out.push(i as u32);
-        }
-    }
-    Ok(out)
-}
-
 /// Multi-scale sampler: one shuffled permutation whose prefixes are uniform
 /// samples of every size.
 ///
@@ -88,20 +64,6 @@ impl MultiScaleSampler {
         let mut rng = rng_from_seed(seed);
         permutation.shuffle(&mut rng);
         MultiScaleSampler { permutation }
-    }
-
-    /// Builds a sampler over an explicit population of row ids (e.g. the
-    /// rows of a zoomed region).
-    pub fn over_rows(rows: &[u32], seed: u64) -> Self {
-        let mut permutation = rows.to_vec();
-        let mut rng = rng_from_seed(seed);
-        permutation.shuffle(&mut rng);
-        MultiScaleSampler { permutation }
-    }
-
-    /// Population size.
-    pub fn population(&self) -> usize {
-        self.permutation.len()
     }
 
     /// Uniform sample of `k` rows (all rows when `k` exceeds the
@@ -173,15 +135,6 @@ pub fn prefix_sample(n: usize, k: usize, seed: u64) -> Vec<u32> {
     out
 }
 
-/// Gathers a uniform sample of `k` rows from a table (multi-scale seeded).
-///
-/// # Errors
-/// Propagates gather errors (never expected: indices are in bounds).
-pub fn sample_table(table: &Table, k: usize, seed: u64) -> Result<Table> {
-    let sampler = MultiScaleSampler::new(table.nrows(), seed);
-    table.take(&sampler.sample(k))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,25 +182,6 @@ mod tests {
     }
 
     #[test]
-    fn bernoulli_expected_size() {
-        let s = bernoulli_sample(10_000, 0.1, 3).unwrap();
-        assert!(
-            (s.len() as f64 - 1000.0).abs() < 150.0,
-            "got {} rows",
-            s.len()
-        );
-        assert!(s.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
-    fn bernoulli_rejects_bad_p() {
-        assert!(bernoulli_sample(10, -0.1, 0).is_err());
-        assert!(bernoulli_sample(10, 1.5, 0).is_err());
-        assert_eq!(bernoulli_sample(10, 0.0, 0).unwrap().len(), 0);
-        assert_eq!(bernoulli_sample(10, 1.0, 0).unwrap().len(), 10);
-    }
-
-    #[test]
     fn multiscale_samples_are_nested() {
         let ms = MultiScaleSampler::new(500, 11);
         let small: std::collections::HashSet<u32> = ms.sample(50).into_iter().collect();
@@ -261,16 +195,6 @@ mod tests {
     fn multiscale_clamps_to_population() {
         let ms = MultiScaleSampler::new(10, 0);
         assert_eq!(ms.sample(100).len(), 10);
-        assert_eq!(ms.population(), 10);
-    }
-
-    #[test]
-    fn multiscale_over_rows_restricts_population() {
-        let rows = vec![3u32, 7, 9, 20];
-        let ms = MultiScaleSampler::over_rows(&rows, 5);
-        let s = ms.sample(3);
-        assert_eq!(s.len(), 3);
-        assert!(s.iter().all(|i| rows.contains(i)));
     }
 
     #[test]
@@ -351,18 +275,5 @@ mod tests {
                 "row {i} appeared {c} times, expected ~{expected}"
             );
         }
-    }
-
-    #[test]
-    fn sample_table_gathers() {
-        use crate::column::Column;
-        use crate::table::TableBuilder;
-        let t = TableBuilder::new("t")
-            .column("x", Column::dense_i64((0..100).collect()))
-            .unwrap()
-            .build()
-            .unwrap();
-        let s = sample_table(&t, 10, 4).unwrap();
-        assert_eq!(s.nrows(), 10);
     }
 }

@@ -104,7 +104,7 @@ impl Schema {
     ///
     /// # Errors
     /// Returns [`StoreError::ColumnNotFound`] when absent.
-    pub fn field_by_name(&self, name: &str) -> Result<&Field> {
+    pub(crate) fn field_by_name(&self, name: &str) -> Result<&Field> {
         self.fields
             .iter()
             .find(|f| f.name == name)

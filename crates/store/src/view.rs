@@ -30,8 +30,8 @@ use crate::value::{DataType, Value};
 ///
 /// Views are cheap to clone (two `Arc` bumps) and cheap to compose:
 /// [`TableView::select`] re-maps indices without touching column data.
-/// Row indices are view-relative everywhere; [`TableView::base_row`]
-/// translates to physical rows of the underlying table.
+/// Row indices are view-relative everywhere; the view translates them
+/// to physical rows of the underlying table.
 #[derive(Debug, Clone)]
 pub struct TableView {
     table: Arc<Table>,
@@ -90,16 +90,6 @@ impl TableView {
         self.table.ncols()
     }
 
-    /// True when the view covers every row of the table in order.
-    pub fn is_identity(&self) -> bool {
-        self.rows.is_none()
-    }
-
-    /// The base-row selection, when one is set (`None` = identity).
-    pub fn base_rows(&self) -> Option<&[u32]> {
-        self.rows.as_ref().map(|r| r.as_slice())
-    }
-
     /// The shared base-row selection handle (`None` = identity view).
     ///
     /// Two views with `Arc::ptr_eq` selections provably cover the same
@@ -114,7 +104,7 @@ impl TableView {
     /// # Panics
     /// Panics if `row >= nrows()`.
     #[inline]
-    pub fn base_row(&self, row: usize) -> u32 {
+    fn base_row(&self, row: usize) -> u32 {
         match &self.rows {
             Some(rows) => rows[row],
             None => row as u32,
@@ -242,15 +232,6 @@ impl TableView {
         self.table.take(&base)
     }
 
-    /// Materializes the whole view as an owned [`Table`] (export path).
-    ///
-    /// # Errors
-    /// Propagates gather errors (none in practice: indices are in bounds).
-    pub fn to_table(&self) -> Result<Table> {
-        let rows: Vec<u32> = (0..self.nrows() as u32).collect();
-        self.gather(&rows)
-    }
-
     /// Names of columns whose role is [`ColumnRole::Attribute`].
     pub fn attribute_columns(&self) -> Vec<&str> {
         self.table.attribute_columns()
@@ -319,7 +300,7 @@ impl<'a> ColumnView<'a> {
 
     /// Physical row behind view row `row`.
     #[inline]
-    pub fn base_row(&self, row: usize) -> usize {
+    fn base_row(&self, row: usize) -> usize {
         match self.rows {
             Some(rows) => rows[row] as usize,
             None => row,
@@ -354,32 +335,6 @@ impl<'a> ColumnView<'a> {
     #[inline]
     pub fn numeric_at(&self, row: usize) -> Option<f64> {
         self.column.numeric_at(self.base_row(row))
-    }
-
-    /// Float payload at view row `row`, when this is a float column and
-    /// the cell is non-NULL.
-    #[inline]
-    pub fn f64_at(&self, row: usize) -> Option<f64> {
-        match self.column {
-            Column::Float64 { data, validity } => {
-                let i = self.base_row(row);
-                validity.get(i).then(|| data[i])
-            }
-            _ => None,
-        }
-    }
-
-    /// Integer payload at view row `row`, when this is an int column and
-    /// the cell is non-NULL.
-    #[inline]
-    pub fn i64_at(&self, row: usize) -> Option<i64> {
-        match self.column {
-            Column::Int64 { data, validity } => {
-                let i = self.base_row(row);
-                validity.get(i).then(|| data[i])
-            }
-            _ => None,
-        }
     }
 
     /// Dictionary code at view row `row` for categorical columns.
@@ -605,7 +560,7 @@ mod tests {
     fn identity_view_mirrors_table() {
         let t = base();
         let v = TableView::new(Arc::clone(&t));
-        assert!(v.is_identity());
+        assert!(v.rows_shared().is_none());
         assert_eq!(v.nrows(), 5);
         assert_eq!(v.ncols(), 2);
         assert_eq!(v.value(1, "x").unwrap(), Value::Float(2.0));
@@ -635,7 +590,7 @@ mod tests {
         let first = v.select(&[1, 2, 4]).unwrap(); // base rows 1, 2, 4
         let second = first.select(&[2, 0]).unwrap(); // base rows 4, 1
         assert_eq!(second.nrows(), 2);
-        assert_eq!(second.base_rows().unwrap(), &[4, 1]);
+        assert_eq!(*second.rows_shared().unwrap(), [4, 1]);
         assert_eq!(second.value(0, "cat").unwrap(), Value::Str("c".into()));
         assert_eq!(second.value(1, "cat").unwrap(), Value::Str("b".into()));
         // Out-of-bounds view rows error.
@@ -670,15 +625,15 @@ mod tests {
         let v = TableView::new(t);
         let mask = Bitmap::from_bools(&[true, false, false, true, true]);
         let kept = v.retain(&mask).unwrap();
-        assert_eq!(kept.base_rows().unwrap(), &[0, 3, 4]);
+        assert_eq!(*kept.rows_shared().unwrap(), [0, 3, 4]);
         // Length mismatch is rejected.
         assert!(kept.retain(&mask).is_err());
 
         let filtered = v.filter(&Predicate::ge("x", 2.0)).unwrap();
-        assert_eq!(filtered.base_rows().unwrap(), &[1, 3, 4]);
+        assert_eq!(*filtered.rows_shared().unwrap(), [1, 3, 4]);
         // Filtering composes with an existing selection.
         let narrow = filtered.filter(&Predicate::lt("x", 5.0)).unwrap();
-        assert_eq!(narrow.base_rows().unwrap(), &[1, 3]);
+        assert_eq!(*narrow.rows_shared().unwrap(), [1, 3]);
     }
 
     #[test]
@@ -690,7 +645,7 @@ mod tests {
         assert_eq!(examples.value(0, "x").unwrap(), Value::Float(5.0));
         assert_eq!(examples.value(1, "x").unwrap(), Value::Float(1.0));
         assert!(v.gather(&[3]).is_err());
-        let all = v.to_table().unwrap();
+        let all = v.gather(&[0, 1, 2]).unwrap();
         assert_eq!(all, t.take(&[4, 2, 0]).unwrap());
     }
 
@@ -699,9 +654,8 @@ mod tests {
         let t = base();
         let v = TableView::with_rows(t, vec![1, 2]).unwrap();
         let x = v.col_by_name("x").unwrap();
-        assert_eq!(x.f64_at(0), Some(2.0));
-        assert_eq!(x.f64_at(1), None, "NULL cell");
-        assert_eq!(x.i64_at(0), None, "not an int column");
+        assert_eq!(x.numeric_at(0), Some(2.0));
+        assert_eq!(x.numeric_at(1), None, "NULL cell");
         let cat = v.col_by_name("cat").unwrap();
         assert_eq!(cat.code_at(0), Some(1));
         assert_eq!(cat.dictionary(), &["a", "b", "c"]);

@@ -229,23 +229,6 @@ fn best_categorical_split(
     })
 }
 
-/// Routes one row through a split rule. `None` = missing test value.
-fn route(rule: &SplitRule, view: &TableView, row: usize) -> Option<bool> {
-    let col = view
-        .col_by_name(rule.column())
-        .expect("feature validated at fit/predict time");
-    match rule {
-        SplitRule::Numeric { threshold, .. } => col.numeric_at(row).map(|v| v < *threshold),
-        SplitRule::Categorical {
-            left_categories, ..
-        } => {
-            let code = col.code_at(row)?;
-            let label = &col.dictionary()[code as usize];
-            Some(left_categories.iter().any(|c| c == label))
-        }
-    }
-}
-
 /// A split rule bound to a view: the column handle is resolved and the
 /// categorical left-set is translated to a per-code table **once**, so
 /// routing a row costs one column access instead of a name lookup plus a
@@ -510,11 +493,6 @@ impl DecisionTree {
         }
     }
 
-    /// Number of classes the tree distinguishes.
-    pub fn nclasses(&self) -> usize {
-        self.nclasses
-    }
-
     /// Feature columns used at fit time.
     pub fn features(&self) -> &[String] {
         &self.features
@@ -528,32 +506,6 @@ impl DecisionTree {
     /// Tree depth.
     pub fn depth(&self) -> usize {
         self.root.depth()
-    }
-
-    /// Predicts the class of one view row.
-    ///
-    /// # Errors
-    /// Returns an error when a feature column is missing from the view.
-    pub fn predict_row(&self, view: &TableView, row: usize) -> Result<usize> {
-        for f in &self.features {
-            view.col_by_name(f)?;
-        }
-        let mut node = &self.root;
-        loop {
-            match node {
-                Node::Leaf { class, .. } => return Ok(*class),
-                Node::Internal {
-                    rule,
-                    default_left,
-                    left,
-                    right,
-                    ..
-                } => {
-                    let goes_left = route(rule, view, row).unwrap_or(*default_left);
-                    node = if goes_left { left } else { right };
-                }
-            }
-        }
     }
 
     /// Predicts every row of a view.
@@ -658,8 +610,8 @@ mod tests {
             .into();
         let tree = DecisionTree::fit(&t, &["x"], &[1, 1, 1], &CartConfig::default()).unwrap();
         assert_eq!(tree.n_leaves(), 1);
-        assert_eq!(tree.predict_row(&t, 0).unwrap(), 1);
-        assert_eq!(tree.nclasses(), 2);
+        assert_eq!(tree.predict(&t).unwrap(), [1, 1, 1]);
+        assert_eq!(tree.nclasses, 2);
     }
 
     #[test]
@@ -769,9 +721,6 @@ mod tests {
         };
         let tree = DecisionTree::fit(&t, &["x"], &labels, &config).unwrap();
         // Prediction never fails on missing data.
-        for row in 0..30 {
-            let _ = tree.predict_row(&t, row).unwrap();
-        }
         let acc = tree
             .predict(&t)
             .unwrap()
@@ -813,7 +762,6 @@ mod tests {
             .unwrap()
             .into();
         assert!(tree.predict(&other).is_err());
-        assert!(tree.predict_row(&other, 0).is_err());
     }
 
     #[test]
@@ -838,7 +786,7 @@ mod tests {
             .unwrap()
             .into();
         let tree = DecisionTree::fit(&t, &["x"], &labels, &CartConfig::default()).unwrap();
-        assert_eq!(tree.nclasses(), 3);
+        assert_eq!(tree.nclasses, 3);
         assert_eq!(tree.n_leaves(), 3);
         assert_eq!(tree.predict(&t).unwrap(), labels);
     }

@@ -3,22 +3,6 @@
 //! "The decision tree only approximates the real partitions detected during
 //! the clustering step" — these helpers measure exactly that loss.
 
-/// Confusion matrix `m[actual][predicted]`.
-pub fn confusion_matrix(predicted: &[usize], actual: &[usize]) -> Vec<Vec<usize>> {
-    assert_eq!(predicted.len(), actual.len(), "label vectors must align");
-    let k = predicted
-        .iter()
-        .chain(actual)
-        .copied()
-        .max()
-        .map_or(0, |m| m + 1);
-    let mut m = vec![vec![0usize; k]; k];
-    for (&p, &a) in predicted.iter().zip(actual) {
-        m[a][p] += 1;
-    }
-    m
-}
-
 /// Fraction of exact label matches.
 pub fn accuracy(predicted: &[usize], actual: &[usize]) -> f64 {
     assert_eq!(predicted.len(), actual.len(), "label vectors must align");
@@ -28,56 +12,15 @@ pub fn accuracy(predicted: &[usize], actual: &[usize]) -> f64 {
     predicted.iter().zip(actual).filter(|(p, a)| p == a).count() as f64 / predicted.len() as f64
 }
 
-/// Per-class recall (`None` for classes absent from `actual`).
-pub fn per_class_recall(predicted: &[usize], actual: &[usize]) -> Vec<Option<f64>> {
-    let m = confusion_matrix(predicted, actual);
-    m.iter()
-        .enumerate()
-        .map(|(c, row)| {
-            let total: usize = row.iter().sum();
-            (total > 0).then(|| row[c] as f64 / total as f64)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn confusion_counts() {
-        let actual = vec![0, 0, 1, 1, 2];
-        let predicted = vec![0, 1, 1, 1, 0];
-        let m = confusion_matrix(&predicted, &actual);
-        assert_eq!(m[0], vec![1, 1, 0]);
-        assert_eq!(m[1], vec![0, 2, 0]);
-        assert_eq!(m[2], vec![1, 0, 0]);
-    }
 
     #[test]
     fn accuracy_basic() {
         assert_eq!(accuracy(&[0, 1], &[0, 1]), 1.0);
         assert_eq!(accuracy(&[1, 1], &[0, 1]), 0.5);
         assert_eq!(accuracy(&[], &[]), 1.0);
-    }
-
-    #[test]
-    fn recall_per_class() {
-        let actual = vec![0, 0, 1, 1];
-        let predicted = vec![0, 1, 1, 1];
-        let r = per_class_recall(&predicted, &actual);
-        assert_eq!(r[0], Some(0.5));
-        assert_eq!(r[1], Some(1.0));
-    }
-
-    #[test]
-    fn recall_absent_class_none() {
-        let actual = vec![0, 0];
-        let predicted = vec![0, 2];
-        let r = per_class_recall(&predicted, &actual);
-        assert_eq!(r[0], Some(0.5));
-        assert_eq!(r[1], None);
-        assert_eq!(r[2], None);
     }
 
     #[test]

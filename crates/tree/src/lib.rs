@@ -36,7 +36,7 @@ pub mod prune;
 pub mod rules;
 
 pub use cart::{CartConfig, DecisionTree};
-pub use eval::{accuracy, confusion_matrix, per_class_recall};
+pub use eval::accuracy;
 pub use impurity::Criterion;
 pub use node::{Node, SplitRule};
 pub use prune::{alpha_path, prune};

@@ -64,7 +64,7 @@ pub mod prelude {
         ExplorerConfig, Highlight, KChoice, MapperConfig, Region, Response, SessionManager,
         SketchOp, SketchPartial, SketchPlan, SketchResult, Theme, ThemeConfig, ThemeSet,
     };
-    pub use blaeu_exec::{JobHandle, JobPool, JobStatus};
+    pub use blaeu_exec::{JobHandle, JobPool};
     pub use blaeu_net::{NetConfig, NetServer};
     pub use blaeu_server::{
         AnalysisCache, AsyncSessionServer, CacheStats, FsyncPolicy, RecoveryReport, ServerConfig,

@@ -509,7 +509,28 @@ fn error_statuses_are_mapped_and_keep_alive_survives() {
     let stats = stats.json();
     assert!(stats["requests"].as_u64().unwrap() >= 10);
     assert!(stats["rejected"].as_u64().unwrap() >= 5);
-    assert!(stats.get("queue_depths").is_none(), "moved to /sessions");
+    let keys: Vec<&str> = stats
+        .as_object()
+        .unwrap()
+        .iter()
+        .map(|(k, _)| k.as_str())
+        .collect();
+    assert_eq!(
+        keys,
+        [
+            "sessions",
+            "queue_capacity",
+            "cache",
+            "journal",
+            "requests",
+            "rejected",
+            "conn_workers",
+            "engine_workers",
+            "progressive",
+        ],
+        "aggregates only; per-session detail is on /sessions"
+    );
+    assert!(stats["sessions"].as_u64().is_some(), "a count, not a list");
     assert!(stats["journal"].is_null(), "no journal configured");
 
     let listed = client.request("GET", "/sessions", None);
@@ -681,7 +702,7 @@ fn queue_full_maps_to_429_with_occupancy() {
     );
 
     gate.wait();
-    parked.join().unwrap();
+    parked.join();
     assert!(pending.join().is_ok());
     net.shutdown();
 }
