@@ -14,57 +14,11 @@ use crate::distance::{BlockKernel, Points};
 use crate::matrix::DistanceMatrix;
 use crate::pam::{pam, PamConfig, PamResult};
 
-/// A mergeable partial of the CLARA assignment sketch over contiguous
-/// row shards.
-///
-/// Labels concatenate in shard order; per-shard deviation sums stay
-/// *unsummed* so the final left-fold replays the exact shard-order
-/// float additions of the in-process combine loop — bit-identical
-/// whatever the shard grouping, since f64 addition is not associative
-/// but the fold order is fixed by the canonical shard layout.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AssignPartial {
-    /// Medoid slot per row, concatenated in shard order.
-    pub labels: Vec<usize>,
-    /// One deviation sum per shard, in shard order.
-    pub totals: Vec<f64>,
-}
-
-impl AssignPartial {
-    /// The identity partial — what a worker returns for an empty range.
-    pub fn empty() -> AssignPartial {
-        AssignPartial {
-            labels: Vec::new(),
-            totals: Vec::new(),
-        }
-    }
-
-    /// Merges the next shard range's partial into this one: labels and
-    /// shard totals both concatenate, so merging is shard-order
-    /// associative by construction.
-    pub fn merge(&mut self, mut other: AssignPartial) {
-        self.labels.append(&mut other.labels);
-        self.totals.append(&mut other.totals);
-    }
-}
-
-/// Finalizes a fully merged assignment partial: the labels are complete
-/// and the deviation total left-folds over the shard sums in shard
-/// order — the same `total += shard_total` loop the in-process combine
-/// runs. Needs no point data.
-pub fn finalize_assign(partial: AssignPartial) -> (Vec<usize>, f64) {
-    let mut total = 0.0f64;
-    for t in partial.totals {
-        total += t;
-    }
-    (partial.labels, total)
-}
-
 /// Sweeps one contiguous row range through the blocked kernel, labeling
 /// each row with its nearest medoid slot — the unit of work a worker
 /// executes per canonical shard. Bitwise identical to the scalar
 /// per-row sweep (see [`assign_points`]).
-pub fn assign_shard(
+fn assign_shard(
     kernel: &BlockKernel<'_>,
     medoids: &[usize],
     rows: std::ops::Range<usize>,
@@ -155,19 +109,13 @@ pub fn assign_points(points: &Points, medoids: &[usize]) -> (Vec<usize>, f64) {
     let n = points.len();
     let kernel = points.block_kernel();
     let shards = blaeu_exec::ShardSpec::with_shard_size(n, blaeu_exec::REDUCE_GRAIN);
-    let parts = blaeu_exec::par_shards(&shards, 0, |_, rows| {
-        let (labels, total) = assign_shard(&kernel, medoids, rows);
-        AssignPartial {
-            labels,
-            totals: vec![total],
-        }
-    });
-    let mut merged = AssignPartial::empty();
-    for part in parts {
-        merged.merge(part);
+    let parts = blaeu_exec::par_shards(&shards, 0, |_, rows| assign_shard(&kernel, medoids, rows));
+    let mut labels = Vec::with_capacity(n);
+    let mut total = 0.0f64;
+    for (shard_labels, shard_total) in parts {
+        labels.extend(shard_labels);
+        total += shard_total;
     }
-    let (labels, total) = finalize_assign(merged);
-    debug_assert_eq!(labels.len(), n);
     (labels, total)
 }
 
@@ -323,6 +271,59 @@ mod tests {
         let (labels_matrix, total_matrix) = assign_to_medoids(&m, &medoids);
         assert_eq!(labels_direct, labels_matrix);
         assert!((total_direct - total_matrix).abs() < 1e-9);
+    }
+
+    #[test]
+    fn assign_points_matches_scalar_oracle_across_row_shards() {
+        // Three full row shards and a short fourth one, with a row count
+        // that is not a multiple of four: the four-lane sweep, its
+        // stragglers and the shard-order fold must equal a scalar
+        // ascending-slot argmin summed per shard, sums folded left.
+        let grain = blaeu_exec::REDUCE_GRAIN;
+        let n = 3 * grain + 5;
+        let dims = 4;
+        let mut data = Vec::with_capacity(n * dims);
+        for i in 0..n {
+            let h = i.wrapping_mul(2654435761) % 1009;
+            data.push(if h % 13 == 0 {
+                f64::NAN
+            } else {
+                h as f64 / 7.0
+            });
+            data.push((h as f64).sin());
+            data.push((h % 5) as f64);
+            data.push(if h % 11 == 0 {
+                f64::NAN
+            } else {
+                (h % 3) as f64
+            });
+        }
+        let metric = Metric::fit_gower_flat(&data, n, dims, vec![false, false, true, true]);
+        let p = Points::new(data.chunks(dims).map(<[f64]>::to_vec).collect(), metric);
+        // Medoids for which a reversed, pairwise or flat row-order sum
+        // each give other total bits than the left fold of shard sums.
+        let medoids = [9, 1509, 2909, n - 10, 427];
+        let mut want_labels = Vec::with_capacity(n);
+        let mut want_total = 0.0f64;
+        for start in (0..n).step_by(grain) {
+            let mut shard_total = 0.0f64;
+            for j in start..(start + grain).min(n) {
+                let (mut best_slot, mut best_d) = (0, f64::INFINITY);
+                for (slot, &m) in medoids.iter().enumerate() {
+                    let d = p.dist(j, m);
+                    if d < best_d {
+                        best_d = d;
+                        best_slot = slot;
+                    }
+                }
+                want_labels.push(best_slot);
+                shard_total += best_d;
+            }
+            want_total += shard_total;
+        }
+        let (labels, total) = assign_points(&p, &medoids);
+        assert_eq!(labels, want_labels);
+        assert_eq!(total.to_bits(), want_total.to_bits());
     }
 
     #[test]

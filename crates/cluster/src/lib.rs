@@ -33,7 +33,7 @@ pub mod matrix;
 pub mod pam;
 pub mod silhouette;
 
-pub use clara::{assign_points, assign_shard, clara, finalize_assign, AssignPartial, ClaraConfig};
+pub use clara::{assign_points, clara, ClaraConfig};
 pub use distance::{BlockKernel, CatBlock, Metric, Points, CODE_NULL};
 pub use eval::{accuracy, adjusted_rand_index, label_nmi, purity};
 pub use hierarchical::{agglomerative, Dendrogram, Linkage, Merge};

@@ -87,8 +87,8 @@ pub enum Command {
     Breadcrumbs,
     /// Current history depth (fast, read-only).
     Depth,
-    /// Run a mergeable sketch analysis over the current view (slow:
-    /// sweeps the data).
+    /// Run one analysis kernel over the current view (slow: sweeps the
+    /// data).
     Sketch(SketchOp),
 }
 
@@ -309,8 +309,8 @@ pub enum Response {
     Breadcrumbs(Vec<String>),
     /// History depth after the action.
     Depth(usize),
-    /// A finalized sketch analysis (boxed: assignment labels and
-    /// dependency matrices are large).
+    /// A sketch op's result (boxed: assignment labels and dependency
+    /// matrices are large).
     Sketch(Box<SketchResult>),
 }
 

@@ -698,11 +698,7 @@ impl Explorer {
             Command::Sql => Ok(Response::Sql(self.sql())),
             Command::Breadcrumbs => Ok(Response::Breadcrumbs(self.breadcrumbs().to_vec())),
             Command::Depth => Ok(Response::Depth(self.depth())),
-            Command::Sketch(op) => {
-                let plan = op.plan(&self.current().view)?;
-                let partial = plan.run_range(0..plan.spec().shard_count(), 0);
-                Ok(Response::Sketch(Box::new(op.finalize(partial)?)))
-            }
+            Command::Sketch(op) => Ok(Response::Sketch(Box::new(op.run(&self.current().view)?))),
         }
     }
 }

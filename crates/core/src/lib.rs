@@ -66,5 +66,5 @@ pub use preprocess::{
 };
 pub use progressive::{ProgressiveMap, RefinementDelta};
 pub use session::{SessionId, SessionManager};
-pub use sketch::{SketchOp, SketchPartial, SketchPlan, SketchResult};
+pub use sketch::{SketchOp, SketchResult};
 pub use themes::{detect_themes, Theme, ThemeConfig, ThemeSet};

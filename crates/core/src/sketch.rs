@@ -1,29 +1,19 @@
-//! Mergeable sketch operations — the in-process combine behind
-//! `Command::Sketch`.
+//! Sketch operations — the analysis kernels behind `Command::Sketch`.
 //!
-//! The naturally mergeable analyses (dependency matrix cells,
-//! describe/histogram summaries, CLARA assignment) are expressed as a
-//! [`SketchOp`]. Planning an op against a view ([`SketchOp::plan`]) runs
-//! its deterministic phase-1 and fixes a canonical shard layout, a pure
-//! function of the op and the view's row count.
-//! [`SketchPlan::run_range`] executes a contiguous range of those shards
-//! and returns a [`SketchPartial`]; partials merge **in shard order**
-//! ([`SketchPartial::merge`]) and finalize without touching the data
-//! ([`SketchOp::finalize`]).
-//!
-//! The invariant: merging range partials in shard order replays the
-//! exact combine sequence of a full-range run, so however the shard space
-//! is grouped, the finalized result — every float bit — is identical.
+//! A [`SketchOp`] names one of the four kernels Blaeu's highlight,
+//! themes and maps rest on (the dependency matrix, column summaries,
+//! histograms and CLARA's assignment sweep) as wire data.
+//! [`SketchOp::run`] answers it by calling that kernel on a view, so a
+//! sketch answer is bit-identical to the analysis the explorer runs.
+
+use std::collections::HashSet;
 
 use serde_json::{json, Value};
 
-use blaeu_cluster::{assign_shard, AssignPartial, Points};
-use blaeu_exec::{par_map_range_grained, ShardSpec};
+use blaeu_cluster::assign_points;
 use blaeu_stats::{
-    describe_kind, describe_shard, finalize_dep_cells, finalize_describe, finalize_histogram,
-    histogram_prepare, histogram_shard, merge_dep_cells, row_shard_spec, ColumnSummary,
-    DepMatrixSketch, DependencyMatrix, DependencyOptions, DescribeKind, DescribePartial, Histogram,
-    HistogramPartial, HistogramSketch,
+    dependency_matrix, describe, histogram, ColumnSummary, DependencyMatrix, DependencyOptions,
+    Histogram,
 };
 use blaeu_store::TableView;
 
@@ -31,29 +21,27 @@ use crate::command::Command;
 use crate::error::{BlaeuError, Result};
 use crate::preprocess::{preprocess, MetricChoice, PreprocessConfig};
 
-/// A mergeable analysis, as data: what to compute, not where.
+/// One kernel call, as data.
 ///
 /// Analysis parameters are pinned to the engine defaults (dependency
-/// options, Gower preprocessing), so a plan depends only on the op and
+/// options, Gower preprocessing), so a result depends only on the op and
 /// the view.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SketchOp {
     /// Pairwise dependency cells over the named columns
-    /// ([`blaeu_stats::dependency_matrix`] with default options); shards
-    /// carve the column-pair space.
+    /// ([`blaeu_stats::dependency_matrix`] with default options).
     DepMatrix {
         /// Columns to sweep, in order.
         columns: Vec<String>,
     },
-    /// Column summary ([`blaeu_stats::describe()`]); shards carve the rows.
+    /// Column summary ([`blaeu_stats::describe()`]).
     Describe {
         /// Column to summarize.
         column: String,
         /// Categorical top-list cap.
         top_k: usize,
     },
-    /// Column histogram ([`blaeu_stats::histogram()`]); shards carve the
-    /// rows.
+    /// Column histogram ([`blaeu_stats::histogram()`]).
     Histogram {
         /// Column to bin.
         column: String,
@@ -61,8 +49,7 @@ pub enum SketchOp {
         bins: usize,
     },
     /// CLARA assignment sweep: label every row with its nearest medoid
-    /// over Gower-preprocessed points ([`blaeu_cluster::assign_points`]);
-    /// shards carve the rows.
+    /// over Gower-preprocessed points ([`blaeu_cluster::assign_points`]).
     ClaraAssign {
         /// Columns preprocessed into the point set.
         columns: Vec<String>,
@@ -96,36 +83,44 @@ fn parse_columns(value: Option<&Value>, what: &str) -> Result<Vec<String>> {
         .collect()
 }
 
+/// The column list as names, refusing repeats before any work: every
+/// repeat of a column adds its dims to the preprocessed matrix and its
+/// pairs to the dependency sweep.
+fn distinct(columns: &[String]) -> Result<Vec<&str>> {
+    let mut seen = HashSet::with_capacity(columns.len());
+    for c in columns {
+        if !seen.insert(c.as_str()) {
+            return Err(BlaeuError::Invalid(format!(
+                "column {c:?} appears more than once"
+            )));
+        }
+    }
+    Ok(columns.iter().map(String::as_str).collect())
+}
+
 impl SketchOp {
     /// Most bins a histogram op may ask for. The bin layout is allocated
     /// up front, and a failed allocation aborts the process instead of
-    /// unwinding, so the request is refused before planning starts.
+    /// unwinding, so the request is refused before the column is read.
     pub const MAX_HISTOGRAM_BINS: usize = 1024;
 
-    /// Plans the op against a view: validates columns and runs the op's
-    /// deterministic phase-1 (pair discretization, bin layout, point
-    /// preprocessing).
+    /// Runs the op's kernel on a view.
     ///
     /// # Errors
-    /// Unknown columns, empty views (for the point-based op),
-    /// out-of-range medoids and histograms of more than
-    /// [`SketchOp::MAX_HISTOGRAM_BINS`] bins surface as typed errors.
-    pub fn plan(&self, view: &TableView) -> Result<SketchPlan> {
+    /// Column lists naming a column twice, unknown columns, empty views
+    /// (for the point-based op), out-of-range medoids and histograms of
+    /// more than [`SketchOp::MAX_HISTOGRAM_BINS`] bins surface as typed
+    /// errors.
+    pub fn run(&self, view: &TableView) -> Result<SketchResult> {
         match self {
             SketchOp::DepMatrix { columns } => {
-                let cols: Vec<&str> = columns.iter().map(String::as_str).collect();
-                let sketch = DepMatrixSketch::prepare(view, &cols, &DependencyOptions::default())?;
-                Ok(SketchPlan::Dep(sketch))
+                let cols = distinct(columns)?;
+                let matrix = dependency_matrix(view, &cols, &DependencyOptions::default())?;
+                Ok(SketchResult::Dep(matrix))
             }
             SketchOp::Describe { column, top_k } => {
                 let col = view.col_by_name(column)?;
-                let kind = describe_kind(&col);
-                Ok(SketchPlan::Describe {
-                    view: view.clone(),
-                    column: column.clone(),
-                    kind,
-                    top_k: *top_k,
-                })
+                Ok(SketchResult::Describe(describe(&col, *top_k)))
             }
             SketchOp::Histogram { column, bins } => {
                 if *bins > Self::MAX_HISTOGRAM_BINS {
@@ -135,20 +130,15 @@ impl SketchOp {
                     )));
                 }
                 let col = view.col_by_name(column)?;
-                let sketch = histogram_prepare(&col, *bins);
-                Ok(SketchPlan::Histogram {
-                    view: view.clone(),
-                    column: column.clone(),
-                    sketch,
-                })
+                Ok(SketchResult::Histogram(histogram(&col, *bins)))
             }
             SketchOp::ClaraAssign { columns, medoids } => {
+                let cols = distinct(columns)?;
                 if medoids.is_empty() {
                     return Err(BlaeuError::Invalid(
                         "clara_assign needs at least one medoid".into(),
                     ));
                 }
-                let cols: Vec<&str> = columns.iter().map(String::as_str).collect();
                 let points = preprocess(view, &cols, &PreprocessConfig::default())?
                     .into_points(MetricChoice::Gower);
                 if let Some(&bad) = medoids.iter().find(|&&m| m >= points.len()) {
@@ -157,63 +147,12 @@ impl SketchOp {
                         points.len()
                     )));
                 }
-                Ok(SketchPlan::Assign {
-                    points: Box::new(points),
-                    medoids: medoids.clone(),
-                })
-            }
-        }
-    }
-
-    /// Finalizes a fully merged partial into the analysis result. Needs
-    /// no table data.
-    ///
-    /// # Errors
-    /// A partial whose shape does not match the op (wrong kind, wrong
-    /// cell count) is a typed error, never a panic.
-    pub fn finalize(&self, partial: SketchPartial) -> Result<SketchResult> {
-        match (self, partial) {
-            (SketchOp::DepMatrix { columns }, SketchPartial::Dep(cells)) => {
-                let m = columns.len();
-                if cells.len() != m * m.saturating_sub(1) / 2 {
-                    return Err(BlaeuError::Invalid(format!(
-                        "dependency partial has {} cells, expected {}",
-                        cells.len(),
-                        m * m.saturating_sub(1) / 2
-                    )));
-                }
-                Ok(SketchResult::Dep(finalize_dep_cells(
-                    columns.clone(),
-                    &cells,
-                )))
-            }
-            (SketchOp::Describe { top_k, .. }, SketchPartial::Describe(partial)) => {
-                Ok(SketchResult::Describe(finalize_describe(partial, *top_k)))
-            }
-            (SketchOp::Histogram { bins, .. }, SketchPartial::Histogram(partial)) => {
-                Ok(SketchResult::Histogram(finalize_histogram(partial, *bins)))
-            }
-            (SketchOp::ClaraAssign { .. }, SketchPartial::Assign(partial)) => {
-                let (labels, total_deviation) = blaeu_cluster::finalize_assign(partial);
+                let (labels, total_deviation) = assign_points(&points, medoids);
                 Ok(SketchResult::Assign {
                     labels,
                     total_deviation,
                 })
             }
-            (op, partial) => Err(BlaeuError::Invalid(format!(
-                "sketch partial kind does not match op: {} vs {}",
-                partial.kind_tag(),
-                op.tag()
-            ))),
-        }
-    }
-
-    fn tag(&self) -> &'static str {
-        match self {
-            SketchOp::DepMatrix { .. } => "dep_matrix",
-            SketchOp::Describe { .. } => "describe",
-            SketchOp::Histogram { .. } => "histogram",
-            SketchOp::ClaraAssign { .. } => "clara_assign",
         }
     }
 
@@ -316,187 +255,7 @@ impl SketchOp {
     }
 }
 
-/// A planned sketch op, bound to a view: phase-1 state plus everything
-/// [`SketchPlan::run_range`] needs.
-#[derive(Debug, Clone)]
-pub enum SketchPlan {
-    /// Dependency sweep: discretized columns and the pair list.
-    Dep(DepMatrixSketch),
-    /// Describe sweep over one column of the view.
-    Describe {
-        /// The view being summarized.
-        view: TableView,
-        /// Column to summarize.
-        column: String,
-        /// Accumulator kind, from the column type.
-        kind: DescribeKind,
-        /// Categorical top-list cap (kept for symmetry; finalize re-reads
-        /// it from the op).
-        top_k: usize,
-    },
-    /// Histogram sweep over one column of the view.
-    Histogram {
-        /// The view being summarized.
-        view: TableView,
-        /// Column to bin.
-        column: String,
-        /// Settled bin layout and discretizer.
-        sketch: HistogramSketch,
-    },
-    /// CLARA assignment sweep over preprocessed points.
-    Assign {
-        /// Gower-preprocessed point set (boxed: the flat matrix is large).
-        points: Box<Points>,
-        /// Medoid row indices.
-        medoids: Vec<usize>,
-    },
-}
-
-impl SketchPlan {
-    /// The plan's canonical shard layout: dependency sweeps shard the
-    /// column-pair space, the row sketches shard rows.
-    pub fn spec(&self) -> ShardSpec {
-        match self {
-            SketchPlan::Dep(sketch) => sketch.shard_spec().clone(),
-            SketchPlan::Describe { view, .. } | SketchPlan::Histogram { view, .. } => {
-                row_shard_spec(view.nrows())
-            }
-            SketchPlan::Assign { points, .. } => row_shard_spec(points.len()),
-        }
-    }
-
-    /// Executes a contiguous range of canonical shards on `threads`
-    /// workers (0 = all cores) and merges the per-shard partials in
-    /// shard order. `run_range` over the full shard range is
-    /// bit-identical to the direct analysis.
-    ///
-    /// # Panics
-    /// Panics if the range exceeds the plan's shard count.
-    pub fn run_range(&self, shards: std::ops::Range<usize>, threads: usize) -> SketchPartial {
-        let spec = self.spec();
-        assert!(
-            shards.end <= spec.shard_count(),
-            "shard range {shards:?} exceeds {} shards",
-            spec.shard_count()
-        );
-        let start = shards.start;
-        match self {
-            SketchPlan::Dep(sketch) => SketchPartial::Dep(sketch.run_range(shards, threads)),
-            SketchPlan::Describe {
-                view, column, kind, ..
-            } => {
-                let col = view.col_by_name(column).expect("validated at plan time");
-                let parts = par_map_range_grained(shards.len(), threads, 1, |i| {
-                    describe_shard(&col, spec.range(start + i))
-                });
-                let mut merged = DescribePartial::empty(*kind);
-                for p in parts {
-                    merged.merge(p);
-                }
-                SketchPartial::Describe(merged)
-            }
-            SketchPlan::Histogram {
-                view,
-                column,
-                sketch,
-            } => {
-                let col = view.col_by_name(column).expect("validated at plan time");
-                let parts = par_map_range_grained(shards.len(), threads, 1, |i| {
-                    histogram_shard(&col, sketch, spec.range(start + i))
-                });
-                let mut merged = HistogramPartial::empty(sketch);
-                for p in parts {
-                    merged.merge(p);
-                }
-                SketchPartial::Histogram(merged)
-            }
-            SketchPlan::Assign { points, medoids } => {
-                let kernel = points.block_kernel();
-                let parts = par_map_range_grained(shards.len(), threads, 1, |i| {
-                    let (labels, total) = assign_shard(&kernel, medoids, spec.range(start + i));
-                    AssignPartial {
-                        labels,
-                        totals: vec![total],
-                    }
-                });
-                let mut merged = AssignPartial::empty();
-                for p in parts {
-                    merged.merge(p);
-                }
-                SketchPartial::Assign(merged)
-            }
-        }
-    }
-}
-
-/// A mergeable partial result of a sketch op over a contiguous shard
-/// range.
-#[derive(Debug, Clone)]
-pub enum SketchPartial {
-    /// Dependency cells in shard (pair) order.
-    Dep(Vec<f64>),
-    /// Describe accumulator.
-    Describe(DescribePartial),
-    /// Histogram accumulator.
-    Histogram(HistogramPartial),
-    /// Assignment labels and per-shard deviation sums.
-    Assign(AssignPartial),
-}
-
-impl SketchPartial {
-    fn kind_tag(&self) -> &'static str {
-        match self {
-            SketchPartial::Dep(_) => "dep",
-            SketchPartial::Describe(_) => "describe",
-            SketchPartial::Histogram(_) => "histogram",
-            SketchPartial::Assign(_) => "assign",
-        }
-    }
-
-    /// Merges the next shard range's partial into this one, in shard
-    /// order. Fallible, never panicking: kind or layout mismatches
-    /// surface as typed errors.
-    ///
-    /// # Errors
-    /// Returns [`BlaeuError::Invalid`] when the partials cannot merge.
-    pub fn merge(&mut self, other: SketchPartial) -> Result<()> {
-        match (self, other) {
-            (SketchPartial::Dep(a), SketchPartial::Dep(b)) => {
-                merge_dep_cells(a, b);
-                Ok(())
-            }
-            (SketchPartial::Describe(a), SketchPartial::Describe(b)) => {
-                if a.kind() != b.kind() {
-                    return Err(BlaeuError::Invalid(
-                        "describe partials disagree on column kind".into(),
-                    ));
-                }
-                a.merge(b);
-                Ok(())
-            }
-            (SketchPartial::Histogram(a), SketchPartial::Histogram(b)) => {
-                if !a.compatible(&b) {
-                    return Err(BlaeuError::Invalid(
-                        "histogram partials disagree on bin layout".into(),
-                    ));
-                }
-                a.merge(b);
-                Ok(())
-            }
-            (SketchPartial::Assign(a), SketchPartial::Assign(b)) => {
-                a.merge(b);
-                Ok(())
-            }
-            (a, b) => Err(BlaeuError::Invalid(format!(
-                "cannot merge sketch partials of different kinds: {} vs {}",
-                a.kind_tag(),
-                b.kind_tag()
-            ))),
-        }
-    }
-}
-
-/// The finalized result of a sketch op, once every partial has merged.
+/// The result of a sketch op.
 #[derive(Debug, Clone)]
 pub enum SketchResult {
     /// The dependency matrix.
@@ -509,7 +268,7 @@ pub enum SketchResult {
     Assign {
         /// Nearest-medoid slot per row.
         labels: Vec<usize>,
-        /// Shard-order-folded total deviation.
+        /// Total deviation, folded over row shards in shard order.
         total_deviation: f64,
     },
 }
@@ -592,108 +351,43 @@ mod tests {
     }
 
     #[test]
-    fn split_shard_ranges_merge_bit_identical_to_full_run() {
-        let view = view();
-        for op in ops() {
-            let plan = op.plan(&view).unwrap();
-            let spec = plan.spec();
-            let full = plan.run_range(0..spec.shard_count(), 0);
-            let reference = op.finalize(full).unwrap();
-            // Split the shard space at every boundary; merged halves must
-            // finalize to the same bits.
-            for cut in 0..=spec.shard_count() {
-                let mut left = plan.run_range(0..cut, 1);
-                let right = plan.run_range(cut..spec.shard_count(), 1);
-                left.merge(right).unwrap();
-                let split = op.finalize(left).unwrap();
-                assert_eq!(
-                    format!("{reference:?}"),
-                    format!("{split:?}"),
-                    "op {op:?} cut {cut}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sketch_results_match_direct_analyses() {
-        let view = view();
-
-        let op = SketchOp::Describe {
-            column: "x".into(),
-            top_k: 5,
-        };
-        let plan = op.plan(&view).unwrap();
-        let partial = plan.run_range(0..plan.spec().shard_count(), 0);
-        let SketchResult::Describe(summary) = op.finalize(partial).unwrap() else {
-            panic!("wrong result kind");
-        };
-        let col = view.col_by_name("x").unwrap();
-        assert_eq!(
-            format!("{summary:?}"),
-            format!("{:?}", blaeu_stats::describe(&col, 5))
-        );
-
-        let op = SketchOp::Histogram {
-            column: "y".into(),
-            bins: 8,
-        };
-        let plan = op.plan(&view).unwrap();
-        let partial = plan.run_range(0..plan.spec().shard_count(), 0);
-        let SketchResult::Histogram(hist) = op.finalize(partial).unwrap() else {
-            panic!("wrong result kind");
-        };
-        let col = view.col_by_name("y").unwrap();
-        assert_eq!(hist, blaeu_stats::histogram(&col, 8));
-
-        let op = SketchOp::ClaraAssign {
-            columns: vec!["x".into(), "y".into(), "g".into()],
-            medoids: vec![3, 170, 390],
-        };
-        let plan = op.plan(&view).unwrap();
-        let partial = plan.run_range(0..plan.spec().shard_count(), 0);
-        let SketchResult::Assign {
-            labels,
-            total_deviation,
-        } = op.finalize(partial).unwrap()
-        else {
-            panic!("wrong result kind");
-        };
-        let points = preprocess(&view, &["x", "y", "g"], &PreprocessConfig::default())
-            .unwrap()
-            .into_points(MetricChoice::Gower);
-        let (direct_labels, direct_total) = blaeu_cluster::assign_points(&points, &[3, 170, 390]);
-        assert_eq!(labels, direct_labels);
-        assert_eq!(total_deviation.to_bits(), direct_total.to_bits());
-    }
-
-    #[test]
-    fn mismatched_partials_are_typed_errors() {
-        let mut dep = SketchPartial::Dep(vec![0.5]);
-        let assign = SketchPartial::Assign(AssignPartial::empty());
-        assert!(dep.merge(assign).is_err());
-        let op = SketchOp::DepMatrix {
-            columns: vec!["a".into(), "b".into()],
-        };
-        assert!(op.finalize(SketchPartial::Dep(vec![0.1, 0.2])).is_err());
-        assert!(op
-            .finalize(SketchPartial::Assign(AssignPartial::empty()))
-            .is_err());
-    }
-
-    #[test]
     fn oversized_histograms_are_refused_before_planning() {
         let view = view();
         let op = |bins| SketchOp::Histogram {
             column: "y".into(),
             bins,
         };
-        assert!(op(SketchOp::MAX_HISTOGRAM_BINS).plan(&view).is_ok());
+        assert!(op(SketchOp::MAX_HISTOGRAM_BINS).run(&view).is_ok());
         for bins in [SketchOp::MAX_HISTOGRAM_BINS + 1, 1 << 40, usize::MAX] {
-            match op(bins).plan(&view) {
+            match op(bins).run(&view) {
                 Err(BlaeuError::Invalid(message)) => assert!(message.contains("bins"), "{message}"),
-                other => panic!("{bins} bins planned: {other:?}"),
+                other => panic!("{bins} bins ran: {other:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn repeated_columns_are_refused() {
+        let view = view();
+        let repeated = vec!["x".to_owned(), "g".to_owned(), "x".to_owned()];
+        for op in [
+            SketchOp::DepMatrix {
+                columns: repeated.clone(),
+            },
+            SketchOp::ClaraAssign {
+                columns: repeated,
+                medoids: vec![0],
+            },
+        ] {
+            match op.run(&view) {
+                Err(BlaeuError::Invalid(message)) => {
+                    assert!(message.contains("more than once"), "{message}")
+                }
+                other => panic!("{op:?} ran: {other:?}"),
+            }
+        }
+        for op in ops() {
+            assert!(op.run(&view).is_ok(), "{op:?}");
         }
     }
 }

@@ -38,8 +38,8 @@
 //! OVERPARTITION))`, clamped to at least 1 — enough grains that the
 //! queue can rebalance, few enough that claim overhead stays negligible.
 //! [`par_map_range_grained`] exposes the knob for callers whose items are
-//! so coarse (CLARA replicates, sketch shards) that every item should be
-//! its own steal unit.
+//! so coarse (CLARA replicates, shards) that every item should be its own
+//! steal unit.
 //!
 //! ## Sharding ([`ShardSpec`] / [`par_shards`])
 //!
@@ -49,9 +49,6 @@
 //! thread budget. Each shard becomes one steal-queue grain, and per-shard
 //! results come back in shard order, so shard-grained reductions (e.g.
 //! summing per-shard deviations) are bit-identical across thread counts.
-//! The sketch ops in `blaeu-core` build on this: a contiguous range of
-//! shards can run on its own and merge with its neighbours in shard
-//! order, bit-identical to the full run.
 //!
 //! Worker panics are propagated to the caller with their original payload
 //! after all sibling workers have finished.
@@ -76,9 +73,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Shard size of the row-sharded reductions: CLARA's whole-dataset
-/// assignment and the row sketches (`describe`, `histogram`) size their
-/// [`ShardSpec`]s with it, so their combine order is a function of the
-/// row count only — never of the thread count.
+/// assignment sizes its [`ShardSpec`] with it, so its combine order is a
+/// function of the row count only — never of the thread count.
 pub const REDUCE_GRAIN: usize = 1024;
 
 /// Target number of steal-queue grains *per worker* for the adaptive
@@ -296,7 +292,7 @@ where
 ///
 /// `grain` is a pure performance knob: it changes how work is claimed,
 /// never the results. Use `grain == 1` when every item is coarse enough
-/// to be its own steal unit (CLARA replicates, sketch shards); larger
+/// to be its own steal unit (CLARA replicates, shards); larger
 /// grains amortize claim overhead for cheap items.
 pub fn par_map_range_grained<R, F>(n: usize, threads: usize, grain: usize, f: F) -> Vec<R>
 where

@@ -4,6 +4,8 @@
 //! numeric columns get moments and quantiles, categorical columns get their
 //! top categories.
 
+use std::collections::BTreeMap;
+
 use blaeu_store::{ColumnRead, DataType};
 
 /// Summary of a numeric column (over non-NULL rows).
@@ -134,146 +136,31 @@ pub fn sort_total(values: &mut [f64]) {
     }
 }
 
-/// The canonical row shard layout for row-sharded column sketches
-/// (describe, histogram, CLARA assignment): a pure function of the row
-/// count — never of the thread count.
-pub fn row_shard_spec(rows: usize) -> blaeu_exec::ShardSpec {
-    blaeu_exec::ShardSpec::with_shard_size(rows, blaeu_exec::REDUCE_GRAIN)
+/// Per-label observation counts and the NULL count of a categorical (or
+/// boolean) column.
+pub(crate) fn label_counts<C: ColumnRead>(column: &C) -> (BTreeMap<String, usize>, usize) {
+    let mut counts = BTreeMap::new();
+    let mut nulls = 0usize;
+    for i in 0..column.len() {
+        let v = column.get(i);
+        if v.is_null() {
+            nulls += 1;
+        } else {
+            *counts.entry(v.to_string()).or_insert(0) += 1;
+        }
+    }
+    (counts, nulls)
 }
 
-/// Which describe accumulator a column feeds — numeric and categorical
-/// columns build different partials.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DescribeKind {
-    /// Float/int column: the partial gathers raw values.
-    Numeric,
-    /// Categorical/bool column: the partial gathers label counts.
-    Categorical,
-}
-
-/// The describe kind of a column, from its data type.
-pub fn describe_kind<C: ColumnRead>(column: &C) -> DescribeKind {
+/// Summarizes a column (owned or view-selected — any [`ColumnRead`]).
+/// `top_k` caps the categorical top-list.
+pub fn describe<C: ColumnRead>(column: &C, top_k: usize) -> ColumnSummary {
+    let rows = column.len();
     match column.data_type() {
-        DataType::Float64 | DataType::Int64 => DescribeKind::Numeric,
-        DataType::Categorical | DataType::Bool => DescribeKind::Categorical,
-    }
-}
-
-/// A mergeable partial of a describe sketch over a contiguous row shard.
-///
-/// Exact quantiles need order statistics, so the numeric partial is a
-/// value gather (values in row order); merging concatenates in shard
-/// order, which rebuilds the exact full-column collection sequence —
-/// the final sort, mean and quantiles are then bit-identical to the
-/// sequential [`describe`] whatever the shard grouping. Categorical
-/// counts are integer adds, exact under any association.
-#[derive(Debug, Clone, PartialEq)]
-pub enum DescribePartial {
-    /// Gathered numeric values (row order) and the shard's NULL count.
-    Numeric {
-        /// Non-NULL values in row order.
-        values: Vec<f64>,
-        /// NULL rows in the shard.
-        nulls: usize,
-    },
-    /// Label counts and the shard's NULL count.
-    Categorical {
-        /// Per-label observation counts.
-        counts: std::collections::BTreeMap<String, usize>,
-        /// NULL rows in the shard.
-        nulls: usize,
-    },
-}
-
-impl DescribePartial {
-    /// The identity partial for a kind — what a worker returns for an
-    /// empty shard range.
-    pub fn empty(kind: DescribeKind) -> DescribePartial {
-        match kind {
-            DescribeKind::Numeric => DescribePartial::Numeric {
-                values: Vec::new(),
-                nulls: 0,
-            },
-            DescribeKind::Categorical => DescribePartial::Categorical {
-                counts: std::collections::BTreeMap::new(),
-                nulls: 0,
-            },
-        }
-    }
-
-    /// The kind of column this partial summarizes.
-    pub fn kind(&self) -> DescribeKind {
-        match self {
-            DescribePartial::Numeric { .. } => DescribeKind::Numeric,
-            DescribePartial::Categorical { .. } => DescribeKind::Categorical,
-        }
-    }
-
-    /// Merges the next shard range's partial into this one. Shard-order
-    /// associative: values concatenate, counts add.
-    ///
-    /// # Panics
-    /// Panics if the two partials are of different kinds.
-    pub fn merge(&mut self, other: DescribePartial) {
-        match (self, other) {
-            (
-                DescribePartial::Numeric { values, nulls },
-                DescribePartial::Numeric {
-                    values: mut ov,
-                    nulls: on,
-                },
-            ) => {
-                values.append(&mut ov);
-                *nulls += on;
-            }
-            (
-                DescribePartial::Categorical { counts, nulls },
-                DescribePartial::Categorical {
-                    counts: oc,
-                    nulls: on,
-                },
-            ) => {
-                for (label, c) in oc {
-                    *counts.entry(label).or_insert(0) += c;
-                }
-                *nulls += on;
-            }
-            _ => panic!("cannot merge describe partials of different kinds"),
-        }
-    }
-}
-
-/// Builds the describe partial for one contiguous row range of a column
-/// — the unit of work a worker executes per canonical shard.
-pub fn describe_shard<C: ColumnRead>(column: &C, rows: std::ops::Range<usize>) -> DescribePartial {
-    match describe_kind(column) {
-        DescribeKind::Numeric => {
-            let mut values = Vec::with_capacity(rows.len());
-            values.extend(rows.clone().filter_map(|i| column.numeric_at(i)));
-            let nulls = rows.len() - values.len();
-            DescribePartial::Numeric { values, nulls }
-        }
-        DescribeKind::Categorical => {
-            let mut counts = std::collections::BTreeMap::new();
-            let mut nulls = 0usize;
-            for i in rows {
-                let v = column.get(i);
-                if v.is_null() {
-                    nulls += 1;
-                } else {
-                    *counts.entry(v.to_string()).or_insert(0) += 1;
-                }
-            }
-            DescribePartial::Categorical { counts, nulls }
-        }
-    }
-}
-
-/// Finalizes a fully merged describe partial into the column summary.
-/// Needs no column data.
-pub fn finalize_describe(partial: DescribePartial, top_k: usize) -> ColumnSummary {
-    match partial {
-        DescribePartial::Numeric { mut values, nulls } => {
+        DataType::Float64 | DataType::Int64 => {
+            let mut values = Vec::with_capacity(rows);
+            values.extend((0..rows).filter_map(|i| column.numeric_at(i)));
+            let nulls = rows - values.len();
             if values.is_empty() {
                 return ColumnSummary::Numeric(NumericSummary {
                     count: 0,
@@ -307,7 +194,8 @@ pub fn finalize_describe(partial: DescribePartial, top_k: usize) -> ColumnSummar
                 max: values[n - 1],
             })
         }
-        DescribePartial::Categorical { counts, nulls } => {
+        DataType::Categorical | DataType::Bool => {
+            let (counts, nulls) = label_counts(column);
             let count = counts.values().sum();
             let distinct = counts.len();
             let mut top: Vec<(String, usize)> = counts.into_iter().collect();
@@ -322,17 +210,6 @@ pub fn finalize_describe(partial: DescribePartial, top_k: usize) -> ColumnSummar
             })
         }
     }
-}
-
-/// Summarizes a column (owned or view-selected — any [`ColumnRead`]).
-/// `top_k` caps the categorical top-list.
-///
-/// Routed through the describe sketch as one shard spanning every row:
-/// its single gather is the concatenation, in row order, that merging
-/// the canonical row shards of a sharded sketch rebuilds (and counts
-/// add exactly), so the result is bit-identical either way.
-pub fn describe<C: ColumnRead>(column: &C, top_k: usize) -> ColumnSummary {
-    finalize_describe(describe_shard(column, 0..column.len()), top_k)
 }
 
 #[cfg(test)]

@@ -40,18 +40,12 @@ pub use chi2::{chi2_test, Chi2Test};
 pub use contingency::ContingencyTable;
 pub use correlation::{pearson, ranks, spearman};
 pub use describe::{
-    describe, describe_kind, describe_shard, finalize_describe, row_shard_spec, sort_total,
-    CategoricalSummary, ColumnSummary, DescribeKind, DescribePartial, NumericSummary,
-    SORT_TOTAL_RADIX_MIN,
+    describe, sort_total, CategoricalSummary, ColumnSummary, NumericSummary, SORT_TOTAL_RADIX_MIN,
 };
 pub use entropy::{entropy, entropy_from_counts, joint_entropy};
-pub use histogram::{
-    finalize_histogram, histogram, histogram_prepare, histogram_shard, Histogram, HistogramMode,
-    HistogramPartial, HistogramSketch,
-};
+pub use histogram::{histogram, Histogram};
 pub use mi::{
-    dependency_matrix, finalize_dep_cells, merge_dep_cells, mutual_information,
-    normalized_mutual_information, DepMatrixSketch, DependencyMatrix, DependencyMeasure,
-    DependencyOptions, MiNormalization,
+    dependency_matrix, mutual_information, normalized_mutual_information, DependencyMatrix,
+    DependencyMeasure, DependencyOptions, MiNormalization,
 };
 pub use scatter::ScatterGrid;

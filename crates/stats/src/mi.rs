@@ -124,13 +124,6 @@ fn pair_shard_size(npairs: usize) -> usize {
     npairs.div_ceil(PAIR_SHARD_TARGET).clamp(1, PAIR_SHARD)
 }
 
-/// The canonical shard layout of an `m`-column dependency sweep — a pure
-/// function of the column count, computable without data.
-fn dep_matrix_shard_spec(m: usize) -> blaeu_exec::ShardSpec {
-    let npairs = m * m.saturating_sub(1) / 2;
-    blaeu_exec::ShardSpec::with_shard_size(npairs, pair_shard_size(npairs))
-}
-
 /// Symmetric matrix of pairwise column dependencies in `[0, 1]`.
 #[derive(Debug, Clone)]
 pub struct DependencyMatrix {
@@ -160,28 +153,21 @@ impl DependencyMatrix {
     }
 }
 
-/// One-time preparation for the sharded dependency sweep: validated
-/// names, per-column discretizations and numeric views over the (possibly
-/// sampled) rows, and the canonical pair shard layout. Preparing is a
-/// pure function of the view contents and the options.
-#[derive(Debug, Clone)]
-pub struct DepMatrixSketch {
-    names: Vec<String>,
+/// One-time preparation for the pairwise sweep: per-column
+/// discretizations and numeric views over the (possibly sampled) rows,
+/// and the pair list. Preparing is a pure function of the view contents
+/// and the options.
+struct PairSweep {
     discs: Vec<DiscreteColumn>,
     numerics: Vec<Option<Vec<Option<f64>>>>,
     pairs: Vec<(usize, usize)>,
-    opts: DependencyOptions,
-    spec: blaeu_exec::ShardSpec,
 }
 
-impl DepMatrixSketch {
+impl PairSweep {
     /// Prepares the sweep: validates names, samples rows once (a
     /// selection, not a copy), discretizes each column once and keeps
     /// numeric views for the correlation measures.
-    ///
-    /// # Errors
-    /// Returns an error for unknown column names.
-    pub fn prepare(view: &TableView, columns: &[&str], opts: &DependencyOptions) -> Result<Self> {
+    fn prepare(view: &TableView, columns: &[&str], opts: &DependencyOptions) -> Result<Self> {
         let m = columns.len();
         for &c in columns {
             view.col_by_name(c)?;
@@ -207,86 +193,12 @@ impl DepMatrixSketch {
         let pairs: Vec<(usize, usize)> = (0..m)
             .flat_map(|i| ((i + 1)..m).map(move |j| (i, j)))
             .collect();
-        Ok(DepMatrixSketch {
-            names: columns.iter().map(|&s| s.to_owned()).collect(),
+        Ok(PairSweep {
             discs,
             numerics,
             pairs,
-            opts: opts.clone(),
-            spec: dep_matrix_shard_spec(m),
         })
     }
-
-    /// Column names, in matrix order.
-    pub fn names(&self) -> &[String] {
-        &self.names
-    }
-
-    /// The canonical pair shard layout, a pure function of the sketch's
-    /// column count.
-    pub fn shard_spec(&self) -> &blaeu_exec::ShardSpec {
-        &self.spec
-    }
-
-    /// Measures one canonical shard of the pair sweep, returning its cell
-    /// values in pair order — the unit of work a worker executes.
-    fn run_shard(&self, s: usize) -> Vec<f64> {
-        self.pairs[self.spec.range(s)]
-            .iter()
-            .map(|&(i, j)| {
-                measure_pair(
-                    &self.discs[i],
-                    &self.discs[j],
-                    self.numerics[i].as_deref(),
-                    self.numerics[j].as_deref(),
-                    &self.opts,
-                )
-            })
-            .collect()
-    }
-
-    /// Runs a contiguous range of shards in parallel and merges their
-    /// partials in shard order. `run_range(0..shard_count)` is the full
-    /// sweep.
-    pub fn run_range(&self, shards: std::ops::Range<usize>, threads: usize) -> Vec<f64> {
-        let start = shards.start;
-        let parts = blaeu_exec::par_map_range_grained(shards.len(), threads, 1, |i| {
-            self.run_shard(start + i)
-        });
-        let mut cells = Vec::new();
-        for part in parts {
-            merge_dep_cells(&mut cells, part);
-        }
-        cells
-    }
-}
-
-/// Merges two dependency-cell partials produced by adjacent shard
-/// ranges: cells are kept in pair order, so the merge is concatenation —
-/// associative in shard order by construction.
-pub fn merge_dep_cells(a: &mut Vec<f64>, mut b: Vec<f64>) {
-    a.append(&mut b);
-}
-
-/// Assembles the symmetric matrix from the fully merged cell run (one
-/// value per `i < j` pair in pair order, diagonal fixed at 1). Needs no
-/// column data.
-///
-/// # Panics
-/// Panics if `cells.len()` is not the pair count for `names.len()`.
-pub fn finalize_dep_cells(names: Vec<String>, cells: &[f64]) -> DependencyMatrix {
-    let m = names.len();
-    assert_eq!(cells.len(), m * m.saturating_sub(1) / 2, "cell count");
-    let mut values = vec![0.0f64; m * m];
-    for i in 0..m {
-        values[i * m + i] = 1.0;
-    }
-    let pairs = (0..m).flat_map(|i| ((i + 1)..m).map(move |j| (i, j)));
-    for ((i, j), &v) in pairs.zip(cells) {
-        values[i * m + j] = v;
-        values[j * m + i] = v;
-    }
-    DependencyMatrix { names, values }
 }
 
 fn measure_pair(
@@ -339,13 +251,39 @@ pub fn dependency_matrix(
 ) -> Result<DependencyMatrix> {
     // The pairwise sweep is sharded over the pair list: each shard is one
     // steal-queue grain, so expensive pairs (high-cardinality contingency
-    // tables) do not pin a worker while its siblings idle. Per-shard
-    // partials merge in shard order — the flattened sequence is the pair
-    // order — so the matrix is bit-identical for any parallelism level
-    // and for any grouping of shards into worker ranges.
-    let sketch = DepMatrixSketch::prepare(view, columns, opts)?;
-    let cells = sketch.run_range(0..sketch.shard_spec().shard_count(), opts.threads);
-    Ok(finalize_dep_cells(sketch.names.clone(), &cells))
+    // tables) do not pin a worker while its siblings idle. Shards come
+    // back in shard order — the flattened sequence is the pair order —
+    // so the matrix is bit-identical for any parallelism level.
+    let sweep = PairSweep::prepare(view, columns, opts)?;
+    let npairs = sweep.pairs.len();
+    let spec = blaeu_exec::ShardSpec::with_shard_size(npairs, pair_shard_size(npairs));
+    let cells = blaeu_exec::par_shards(&spec, opts.threads, |_, range| -> Vec<f64> {
+        sweep.pairs[range]
+            .iter()
+            .map(|&(i, j)| {
+                measure_pair(
+                    &sweep.discs[i],
+                    &sweep.discs[j],
+                    sweep.numerics[i].as_deref(),
+                    sweep.numerics[j].as_deref(),
+                    opts,
+                )
+            })
+            .collect()
+    });
+    let m = columns.len();
+    let mut values = vec![0.0f64; m * m];
+    for i in 0..m {
+        values[i * m + i] = 1.0;
+    }
+    for (&(i, j), v) in sweep.pairs.iter().zip(cells.into_iter().flatten()) {
+        values[i * m + j] = v;
+        values[j * m + i] = v;
+    }
+    Ok(DependencyMatrix {
+        names: columns.iter().map(|&s| s.to_owned()).collect(),
+        values,
+    })
 }
 
 #[cfg(test)]

@@ -62,7 +62,7 @@ pub mod prelude {
     pub use blaeu_core::{
         build_map, detect_themes, render, BlaeuError, Command, DataMap, DependencyGraph, Explorer,
         ExplorerConfig, Highlight, KChoice, MapperConfig, Region, Response, SessionManager,
-        SketchOp, SketchPartial, SketchPlan, SketchResult, Theme, ThemeConfig, ThemeSet,
+        SketchOp, SketchResult, Theme, ThemeConfig, ThemeSet,
     };
     pub use blaeu_exec::{JobHandle, JobPool};
     pub use blaeu_net::{NetConfig, NetServer};

@@ -580,6 +580,40 @@ fn oversized_histogram_sketch_is_422_and_the_server_survives() {
     net.shutdown();
 }
 
+/// A sketch column list that names a column twice is a typed 422
+/// `invalid` before any work starts: repeats would multiply the
+/// preprocessed matrix and the pairwise sweep. The same lists without
+/// the repeat still answer.
+#[test]
+fn repeated_sketch_columns_are_422_and_the_server_survives() {
+    let table = shared_table();
+    let net = serve(&table, 2, 0, NetConfig::default());
+    let mut client = WireClient::connect(net.local_addr());
+    let opened = client.request("POST", "/sessions", Some(r#"{"table": "hollywood"}"#));
+    let session = opened.json()["session"].as_u64().unwrap();
+    let commands = format!("/sessions/{session}/commands");
+    let op = |columns: &str| {
+        [
+            format!(r#"{{"cmd": "sketch", "op": {{"op": "dep_matrix", "columns": [{columns}]}}}}"#),
+            format!(
+                r#"{{"cmd": "sketch", "op": {{"op": "clara_assign", "columns": [{columns}], "medoids": [0, 7]}}}}"#
+            ),
+        ]
+    };
+    for body in op(r#""genre", "budget_musd", "genre""#) {
+        let refused = client.request("POST", &commands, Some(&body));
+        assert_eq!(refused.status, 422, "{}", refused.body);
+        assert_eq!(refused.json()["error"]["code"].as_str(), Some("invalid"));
+    }
+    for body in op(r#""genre", "budget_musd""#) {
+        let answered = client.request("POST", &commands, Some(&body));
+        assert_eq!(answered.status, 200, "{}", answered.body);
+    }
+    let mut next = WireClient::connect(net.local_addr());
+    assert_eq!(next.request("GET", "/healthz", None).status, 200);
+    net.shutdown();
+}
+
 /// Oversized bodies answer 413 before a single body byte is buffered,
 /// and the server stays healthy for the next connection.
 #[test]

@@ -5,10 +5,9 @@ use proptest::prelude::*;
 use blaeu::core::{build_map, DataMap, MapperConfig};
 use blaeu::stats::{
     dependency_matrix, describe, discretize, entropy, entropy_from_counts, histogram,
-    histogram_prepare, joint_entropy, mutual_information, normalized_mutual_information, pearson,
-    ranks, sort_total, spearman, BinRule, BinStrategy, ColumnSummary, ContingencyTable,
-    DependencyOptions, Discretizer, Histogram, HistogramMode, HistogramSketch, MiNormalization,
-    SORT_TOTAL_RADIX_MIN,
+    joint_entropy, mutual_information, normalized_mutual_information, pearson, ranks, sort_total,
+    spearman, BinRule, BinStrategy, ColumnSummary, ContingencyTable, DependencyOptions,
+    Discretizer, Histogram, MiNormalization, SORT_TOTAL_RADIX_MIN,
 };
 use blaeu::store::generate::{planted, PlantedConfig};
 use blaeu::store::{Column, TableBuilder};
@@ -59,38 +58,20 @@ fn gather_sort_edges(values: &[f64], nbins: usize) -> Vec<f64> {
     (1..nbins).map(|b| lo + width * b as f64).collect()
 }
 
-/// The layout header as `(kind, lo bits, hi bits, nbins)`.
-fn mode_bits(mode: &HistogramMode) -> (u8, u64, u64, usize) {
-    match *mode {
-        HistogramMode::Empty => (0, 0, 0, 1),
-        HistogramMode::Flat { lo, hi } => (1, lo.to_bits(), hi.to_bits(), 1),
-        HistogramMode::Binned { lo, hi, nbins } => (2, lo.to_bits(), hi.to_bits(), nbins),
-    }
-}
-
-/// The numeric histogram as it was built before `histogram_prepare`
-/// stopped gathering the column: header, edge bits, counts and NULLs.
-#[allow(clippy::type_complexity)]
-fn gather_sort_histogram(
-    cells: &[Option<f64>],
-    bins: usize,
-) -> ((u8, u64, u64, usize), Vec<u64>, Vec<usize>, usize) {
+/// The numeric histogram as it was built when it gathered the column:
+/// edge bits, counts and NULLs. The edges encode the bin layout (empty,
+/// flat or equal-width over `[lo, hi]`).
+fn gather_sort_histogram(cells: &[Option<f64>], bins: usize) -> (Vec<u64>, Vec<usize>, usize) {
     let bins = bins.max(1);
     let vals: Vec<f64> = cells.iter().flatten().copied().collect();
     let nulls = cells.len() - vals.len();
     if vals.is_empty() {
-        return (
-            mode_bits(&HistogramMode::Empty),
-            bits(&[0.0, 1.0]),
-            vec![0],
-            nulls,
-        );
+        return (bits(&[0.0, 1.0]), vec![0], nulls);
     }
     let lo = vals.iter().copied().fold(f64::INFINITY, f64::min);
     let hi = vals.iter().copied().fold(f64::NEG_INFINITY, f64::max);
     if lo == hi {
-        let mode = HistogramMode::Flat { lo, hi };
-        return (mode_bits(&mode), bits(&[lo, hi]), vec![vals.len()], nulls);
+        return (bits(&[lo, hi]), vec![vals.len()], nulls);
     }
     let disc_edges = gather_sort_edges(&vals, bins);
     let nbins = disc_edges.len() + 1;
@@ -100,8 +81,7 @@ fn gather_sort_histogram(
     }
     let width = (hi - lo) / nbins as f64;
     let edges: Vec<f64> = (0..=nbins).map(|i| lo + width * i as f64).collect();
-    let mode = HistogramMode::Binned { lo, hi, nbins };
-    (mode_bits(&mode), bits(&edges), counts, nulls)
+    (bits(&edges), counts, nulls)
 }
 
 fn numeric_parts(h: Histogram) -> (Vec<u64>, Vec<usize>, usize) {
@@ -337,13 +317,7 @@ proptest! {
         let all_null = vec![None; cells.len()];
         for cells in [cells, constant, all_null] {
             let col = Column::from_f64s(cells.iter().copied());
-            let (mode, edges, counts, nulls) = gather_sort_histogram(&cells, bins);
-            let HistogramSketch::Numeric { mode: got_mode, .. } = histogram_prepare(&col, bins)
-            else {
-                return Err(TestCaseError::fail("expected a numeric sketch"));
-            };
-            prop_assert_eq!(mode_bits(&got_mode), mode);
-            prop_assert_eq!(numeric_parts(histogram(&col, bins)), (edges, counts, nulls));
+            prop_assert_eq!(numeric_parts(histogram(&col, bins)), gather_sort_histogram(&cells, bins));
         }
     }
 }

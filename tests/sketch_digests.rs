@@ -4,10 +4,10 @@
 //!
 //! Sketch commands are session commands, so their `Response::digest`
 //! values are persisted in journals and checked on recovery. The
-//! constants below are the digests the sketch path produced before the
-//! shard transport around it was removed; any change to how a sketch
-//! plans, runs its shards or merges them that moves one of them has
-//! changed an answer.
+//! constants below are the digests sketch commands produced while they
+//! still ran through a shard plan/partial/merge layer; they now call the
+//! analysis kernels directly. Any change to a kernel, or to how a sketch
+//! op calls it, that moves one of them has changed an answer.
 
 use blaeu::core::{Command, Explorer, ExplorerConfig, SketchOp};
 use blaeu_bench::oecd_small;
