@@ -391,3 +391,33 @@ fn max_id_journal_is_contained_beside_a_healthy_session() {
     drop(second);
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// A v1 journal recorded by a server of the `sketch` era, over
+/// `shared_table()`: `open`, `themes`, `select_theme 0`, a `sketch`
+/// `describe` and `sql`, with no close record.
+const V1_SKETCH_JOURNAL: &[u8] = include_bytes!("fixtures/journal_v1_sketch.jnl");
+
+/// The session id the fixture's records carry.
+const V1_SKETCH_SESSION: u64 = 0;
+
+#[test]
+fn committed_v1_journal_with_a_sketch_record_recovers() {
+    let table = shared_table();
+    let dir = scratch("v1-sketch");
+    let path = dir.join(format!("session-{V1_SKETCH_SESSION}.jnl"));
+    std::fs::write(&path, V1_SKETCH_JOURNAL).unwrap();
+
+    let engine = journaled_engine(&dir, 0);
+    let tables = HashMap::from([("hollywood".to_owned(), Arc::clone(&table))]);
+    let report = engine.recover(&tables).unwrap();
+    assert!(report.errors.is_empty(), "{:?}", report.errors);
+    assert_eq!(report.sessions, vec![V1_SKETCH_SESSION]);
+    assert_eq!(report.replayed, 4);
+    assert_eq!(std::fs::read(&path).unwrap(), V1_SKETCH_JOURNAL);
+    assert!(matches!(
+        engine.request(V1_SKETCH_SESSION, Command::Sql),
+        Ok(Response::Sql(_))
+    ));
+    drop(engine);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
