@@ -137,6 +137,11 @@ pub struct JournalDefect {
     pub record: usize,
     /// What failed: framing, checksum, or payload shape.
     pub detail: String,
+    /// The record's frame and checksum verify but its payload is refused
+    /// (a command or record shape this build does not read). Such bytes
+    /// were acknowledged, so recovery sets them aside instead of
+    /// dropping them like a torn tail.
+    pub refused: bool,
 }
 
 /// A journal file parsed up to its first defect.
@@ -345,6 +350,7 @@ pub fn read_journal(path: &Path) -> std::io::Result<ReadJournal> {
                         defect = Some(JournalDefect {
                             record: records.len(),
                             detail,
+                            refused: true,
                         });
                         break;
                     }
@@ -354,6 +360,7 @@ pub fn read_journal(path: &Path) -> std::io::Result<ReadJournal> {
                 defect = Some(JournalDefect {
                     record: records.len(),
                     detail,
+                    refused: false,
                 });
                 break;
             }
@@ -366,6 +373,34 @@ pub fn read_journal(path: &Path) -> std::io::Result<ReadJournal> {
         valid_bytes: at as u64,
         defect,
     })
+}
+
+/// Copies the journal at `path`, byte for byte and synced, to
+/// `<path>.diverged-<record>` — done before recovery cuts the file back
+/// to the start of `record`, the first record it does not keep. An
+/// existing sidecar is never overwritten; a failed copy removes its
+/// partial sidecar.
+///
+/// # Errors
+/// Propagates create, copy and sync failures, including an existing
+/// sidecar of the same name.
+pub(crate) fn set_aside(path: &Path, record: usize) -> std::io::Result<PathBuf> {
+    let sidecar = path.with_extension(format!("jnl.diverged-{record}"));
+    let mut out = OpenOptions::new()
+        .write(true)
+        .create_new(true)
+        .open(&sidecar)?;
+    let copied = File::open(path)
+        .and_then(|mut live| std::io::copy(&mut live, &mut out))
+        .and_then(|_| out.sync_all());
+    match copied {
+        Ok(()) => Ok(sidecar),
+        Err(e) => {
+            drop(out);
+            let _ = std::fs::remove_file(&sidecar);
+            Err(e)
+        }
+    }
 }
 
 struct JournalFile {

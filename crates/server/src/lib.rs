@@ -36,13 +36,14 @@ pub mod cache;
 pub mod journal;
 
 pub use cache::{AnalysisCache, CacheStats};
+use journal::set_aside;
 pub use journal::{
     journal_path, read_journal, FsyncPolicy, JournalDefect, JournalRecord, JournalStats,
     ReadJournal, RecordedOutcome, SessionJournal,
 };
 
 use std::collections::{HashMap, VecDeque};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -748,10 +749,14 @@ impl AsyncSessionServer {
     /// against the recorded digest, so divergence is a typed
     /// [`RecoveryError`], never silent.
     ///
-    /// Damage is contained per session: a corrupt or truncated tail is
+    /// Damage is contained per session: a corrupt or torn tail is
     /// cleanly cut back to the longest valid prefix (the file is
     /// physically truncated, and the session lives on at the prefix
-    /// state); a file whose head is unreadable is set aside as
+    /// state). A record whose frame verifies but whose payload is
+    /// refused, or whose replay diverges from its recorded outcome, was
+    /// acknowledged: the whole file is first copied to
+    /// `*.jnl.diverged-<k>` (`k` = the first record not kept), and only
+    /// then cut back. A file whose head is unreadable is set aside as
     /// `*.jnl.corrupt`; a cleanly closed journal is removed. All of it
     /// is reported in the [`RecoveryReport`].
     ///
@@ -817,16 +822,37 @@ impl AsyncSessionServer {
             return;
         };
         if let Some(defect) = &read.defect {
-            // Torn/corrupt tail: physically truncate to the valid
-            // prefix, report it, and replay what survived.
-            if let Ok(file) = std::fs::OpenOptions::new().write(true).open(&path) {
-                let _ = file.set_len(read.valid_bytes);
+            if defect.refused {
+                // The frame verifies, so the record (and everything after
+                // it) was acknowledged: set the whole file aside before
+                // cutting it back, or leave it untouched if that fails.
+                let sidecar = match set_aside(&path, defect.record) {
+                    Ok(sidecar) => sidecar,
+                    Err(e) => {
+                        report.errors.push(RecoveryError::Io {
+                            session: id,
+                            detail: e.to_string(),
+                        });
+                        return;
+                    }
+                };
+                truncate(&path, read.valid_bytes);
+                report.errors.push(RecoveryError::Refused {
+                    session: id,
+                    record: defect.record,
+                    detail: defect.detail.clone(),
+                    sidecar,
+                });
+            } else {
+                // Torn/corrupt tail, never acknowledged: physically
+                // truncate to the valid prefix and replay what survived.
+                truncate(&path, read.valid_bytes);
+                report.errors.push(RecoveryError::TruncatedTail {
+                    session: id,
+                    valid_records: read.records.len(),
+                    detail: defect.detail.clone(),
+                });
             }
-            report.errors.push(RecoveryError::TruncatedTail {
-                session: id,
-                valid_records: read.records.len(),
-                detail: defect.detail.clone(),
-            });
         }
         let Some(table_arc) = tables.get(table) else {
             report.errors.push(RecoveryError::UnknownTable {
@@ -855,9 +881,9 @@ impl AsyncSessionServer {
             });
             return;
         }
-        // Replay, digest-checking every step. On divergence: cut the
-        // journal back to the last verified record and keep the session
-        // at that state — same containment as a torn tail.
+        // Replay, digest-checking every step. On divergence: set the
+        // journal aside, cut it back to the last verified record and keep
+        // the session at that state.
         let mut verified_bytes = 0u64;
         let mut last_seq = 0u64;
         for (index, record) in read.records.iter().enumerate() {
@@ -881,6 +907,20 @@ impl AsyncSessionServer {
                 last_seq = *seq;
                 report.replayed += 1;
             } else {
+                let sidecar = match set_aside(&path, index) {
+                    Ok(sidecar) => sidecar,
+                    Err(e) => {
+                        // The journal stays whole and the session is not
+                        // restored.
+                        let _ = self.manager.close(id);
+                        report.errors.push(RecoveryError::Io {
+                            session: id,
+                            detail: e.to_string(),
+                        });
+                        return;
+                    }
+                };
+                truncate(&path, verified_bytes);
                 report.errors.push(RecoveryError::DigestMismatch {
                     session: id,
                     seq: *seq,
@@ -889,10 +929,8 @@ impl AsyncSessionServer {
                         Ok(response) => format!("replay digest {:016x}", response.digest()),
                         Err(error) => format!("replay error kind {:?}", error.kind()),
                     },
+                    sidecar,
                 });
-                if let Ok(file) = std::fs::OpenOptions::new().write(true).open(&path) {
-                    let _ = file.set_len(verified_bytes);
-                }
                 break;
             }
         }
@@ -929,9 +967,24 @@ pub enum RecoveryError {
         /// What the checksum/framing check reported.
         detail: String,
     },
+    /// A record's frame verifies but this build refuses its payload (a
+    /// retired command, say). The whole journal was copied to `sidecar`,
+    /// then cut back to the record before it; the session recovered up
+    /// to there.
+    Refused {
+        /// Session id.
+        session: SessionId,
+        /// Index of the refused record (0 = `open`).
+        record: usize,
+        /// Why the payload was refused.
+        detail: String,
+        /// The `*.jnl.diverged-<record>` copy of the pre-recovery file.
+        sidecar: PathBuf,
+    },
     /// A replayed command's outcome did not match the recorded one —
-    /// the table or build changed under the journal. The journal was
-    /// cut back to the last verified record.
+    /// the table or build changed under the journal. The whole journal
+    /// was copied to `sidecar`, then cut back to the last verified
+    /// record.
     DigestMismatch {
         /// Session id.
         session: SessionId,
@@ -941,6 +994,8 @@ pub enum RecoveryError {
         expected: RecordedOutcome,
         /// What replay produced instead.
         detail: String,
+        /// The `*.jnl.diverged-<record>` copy of the pre-recovery file.
+        sidecar: PathBuf,
     },
     /// The journal names a table that is not registered.
     UnknownTable {
@@ -978,6 +1033,14 @@ pub struct RecoveryReport {
     pub closed: usize,
     /// Contained per-session problems, in session order.
     pub errors: Vec<RecoveryError>,
+}
+
+/// Cuts the journal at `path` back to `len` bytes (best effort: a file
+/// that cannot be opened stays as it is).
+fn truncate(path: &Path, len: u64) {
+    if let Ok(file) = std::fs::OpenOptions::new().write(true).open(path) {
+        let _ = file.set_len(len);
+    }
 }
 
 /// Runs one command to a `Result`, converting a panic in the analysis

@@ -421,3 +421,151 @@ fn committed_v1_journal_with_a_sketch_record_recovers() {
     drop(engine);
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// Frames `payload` as one journal line, exactly as the server does.
+fn frame(payload: &str) -> Vec<u8> {
+    let sum = blaeu::store::checksum64(payload.as_bytes());
+    format!("J1 {:08x} {sum:016x} {payload}\n", payload.len()).into_bytes()
+}
+
+/// A well-framed command record whose `cmd` no build knows.
+fn unknown_command(id: u64) -> Vec<u8> {
+    frame(&format!(
+        r#"{{"v":1,"kind":"command","session":{id},"seq":9,"cmd":{{"cmd":"warp","v":1}},"digest":"0000000000000000"}}"#
+    ))
+}
+
+/// Records `open` plus `select_theme 0`, `sql` and `depth` for one
+/// session, then kills the server; returns the session id, its journal
+/// path and the byte offset one past each record.
+fn recorded_journal(dir: &Path, table: &Arc<Table>) -> (u64, PathBuf, Vec<u64>) {
+    let first = journaled_engine(dir, 0);
+    let id = first
+        .open_named_session("hollywood", Arc::clone(table), ExplorerConfig::default())
+        .unwrap();
+    for cmd in [Command::SelectTheme(0), Command::Sql, Command::Depth] {
+        first.request(id, cmd).unwrap();
+    }
+    drop(first);
+    let path = blaeu::server::journal_path(dir, id);
+    let read = blaeu::server::read_journal(&path).unwrap();
+    assert!(read.defect.is_none());
+    (id, path, read.record_ends)
+}
+
+/// A well-framed record this build refuses, between intact records, is
+/// set aside with the whole file before the cut: the sidecar holds every
+/// pre-recovery byte (the intact record after it included), and the
+/// live journal keeps the prefix before it.
+#[test]
+fn refused_record_is_set_aside_before_the_cut() {
+    let table = shared_table();
+    let dir = scratch("refused");
+    let (id, path, ends) = recorded_journal(&dir, &table);
+    let bytes = std::fs::read(&path).unwrap();
+    let cut = ends[2] as usize;
+    let probe = [&bytes[..cut], &unknown_command(id), &bytes[cut..]].concat();
+    std::fs::write(&path, &probe).unwrap();
+
+    let second = journaled_engine(&dir, 0);
+    let tables = HashMap::from([("hollywood".to_owned(), Arc::clone(&table))]);
+    let report = second.recover(&tables).unwrap();
+    let sidecar = dir.join(format!("session-{id}.jnl.diverged-3"));
+    match report.errors.as_slice() {
+        [blaeu::server::RecoveryError::Refused {
+            session,
+            record: 3,
+            detail,
+            sidecar: named,
+        }] => {
+            assert_eq!(*session, id);
+            assert!(detail.contains("warp"), "{detail}");
+            assert_eq!(named, &sidecar);
+        }
+        other => panic!("{other:?}"),
+    }
+    assert_eq!(std::fs::read(&sidecar).unwrap(), probe);
+    assert_eq!(std::fs::metadata(&path).unwrap().len(), ends[2]);
+    assert_eq!(report.sessions, vec![id]);
+    assert_eq!(report.replayed, 2);
+    assert!(matches!(
+        second.request(id, Command::Depth),
+        Ok(Response::Depth(2))
+    ));
+    drop(second);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A re-framed record whose recorded digest is wrong diverges at
+/// replay: the whole file goes to the sidecar first, then the journal
+/// is cut back to the last verified record.
+#[test]
+fn diverged_digest_is_set_aside_before_the_cut() {
+    let table = shared_table();
+    let dir = scratch("diverged");
+    let (id, path, ends) = recorded_journal(&dir, &table);
+    let bytes = std::fs::read(&path).unwrap();
+    let (start, end) = (ends[1] as usize, ends[2] as usize);
+    let payload = std::str::from_utf8(&bytes[start + 29..end - 1]).unwrap();
+    let record: Value = serde_json::from_str(payload).unwrap();
+    let digest = record["digest"].as_str().unwrap();
+    let wrong = format!("{:016x}", !u64::from_str_radix(digest, 16).unwrap());
+    let reframed = frame(&payload.replace(digest, &wrong));
+    let probe = [&bytes[..start], &reframed, &bytes[end..]].concat();
+    std::fs::write(&path, &probe).unwrap();
+
+    let second = journaled_engine(&dir, 0);
+    let tables = HashMap::from([("hollywood".to_owned(), Arc::clone(&table))]);
+    let report = second.recover(&tables).unwrap();
+    let sidecar = dir.join(format!("session-{id}.jnl.diverged-2"));
+    assert!(
+        matches!(
+            report.errors.as_slice(),
+            [blaeu::server::RecoveryError::DigestMismatch { seq: 2, sidecar: named, .. }]
+                if named == &sidecar
+        ),
+        "{:?}",
+        report.errors
+    );
+    assert_eq!(std::fs::read(&sidecar).unwrap(), probe);
+    assert_eq!(std::fs::metadata(&path).unwrap().len(), ends[1]);
+    assert_eq!(report.replayed, 1);
+    assert!(matches!(
+        second.request(id, Command::Depth),
+        Ok(Response::Depth(2))
+    ));
+    drop(second);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// An existing sidecar is never overwritten. When the copy cannot be
+/// made, the journal stays whole and the session is not restored.
+#[test]
+fn failed_set_aside_leaves_the_journal_whole() {
+    let table = shared_table();
+    let dir = scratch("set-aside-fails");
+    let (id, path, ends) = recorded_journal(&dir, &table);
+    let bytes = std::fs::read(&path).unwrap();
+    let probe = [&bytes[..], &unknown_command(id)].concat();
+    std::fs::write(&path, &probe).unwrap();
+    let sidecar = dir.join(format!("session-{id}.jnl.diverged-{}", ends.len()));
+    std::fs::write(&sidecar, b"an earlier sidecar").unwrap();
+
+    let second = journaled_engine(&dir, 0);
+    let tables = HashMap::from([("hollywood".to_owned(), Arc::clone(&table))]);
+    let report = second.recover(&tables).unwrap();
+    assert!(
+        matches!(
+            report.errors.as_slice(),
+            [blaeu::server::RecoveryError::Io { session, .. }] if *session == id
+        ),
+        "{:?}",
+        report.errors
+    );
+    assert!(report.sessions.is_empty());
+    assert!(second.ids().is_empty());
+    assert_eq!(std::fs::read(&path).unwrap(), probe);
+    assert_eq!(std::fs::read(&sidecar).unwrap(), b"an earlier sidecar");
+    drop(second);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
