@@ -5,7 +5,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 
 use blaeu_bench::{as_points, blob_columns, blobs};
 use blaeu_cluster::{pam, DistanceMatrix, PamConfig};
-use blaeu_tree::{alpha_path, leaf_rules, prune, CartConfig, DecisionTree};
+use blaeu_tree::{leaf_rules, CartConfig, DecisionTree};
 
 fn fitted(n: usize) -> (blaeu_store::TableView, Vec<usize>, DecisionTree) {
     let (table, truth) = blobs(n, 4);
@@ -65,21 +65,5 @@ fn bench_rules(c: &mut Criterion) {
     });
 }
 
-fn bench_prune(c: &mut Criterion) {
-    let (_, _, tree) = fitted(2000);
-    let mut group = c.benchmark_group("tree/prune");
-    group.bench_function("cost_complexity", |b| {
-        b.iter(|| prune(black_box(&tree), 1.0))
-    });
-    group.bench_function("alpha_path", |b| b.iter(|| alpha_path(black_box(&tree))));
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_fit,
-    bench_predict_and_route,
-    bench_rules,
-    bench_prune
-);
+criterion_group!(benches, bench_fit, bench_predict_and_route, bench_rules);
 criterion_main!(benches);

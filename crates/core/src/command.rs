@@ -22,7 +22,6 @@ use crate::error::{BlaeuError, Result};
 use crate::explorer::{Highlight, RegionDetail};
 use crate::map::DataMap;
 use crate::render::json::{highlight_to_json, map_to_json, themes_to_json};
-use crate::sketch::{SketchOp, SketchResult};
 use crate::themes::ThemeSet;
 
 /// One queued explorer action.
@@ -87,9 +86,6 @@ pub enum Command {
     Breadcrumbs,
     /// Current history depth (fast, read-only).
     Depth,
-    /// Run one analysis kernel over the current view (slow: sweeps the
-    /// data).
-    Sketch(SketchOp),
 }
 
 /// Stamps `"v": WIRE_VERSION` onto an object — the versioned envelope
@@ -111,10 +107,10 @@ impl Command {
 
     /// Longest string any wire field may carry (column names in practice
     /// are tens of bytes; anything bigger is hostile or broken input).
-    pub const MAX_WIRE_STRING: usize = 4096;
+    const MAX_WIRE_STRING: usize = 4096;
 
     /// Most entries a wire `project` column list may carry.
-    pub const MAX_WIRE_COLUMNS: usize = 1024;
+    const MAX_WIRE_COLUMNS: usize = 1024;
 
     /// Parses a command from JSON *text* — the convenience the network
     /// transport and tests use. Parse errors (malformed JSON, absurd
@@ -154,7 +150,6 @@ impl Command {
             Command::Sql => json!({"cmd": "sql"}),
             Command::Breadcrumbs => json!({"cmd": "breadcrumbs"}),
             Command::Depth => json!({"cmd": "depth"}),
-            Command::Sketch(op) => json!({"cmd": "sketch", "op": op.to_json()}),
         })
     }
 
@@ -164,9 +159,9 @@ impl Command {
     /// missing fields), every field is type- and bounds-checked —
     /// indices must be non-negative integers that fit `usize` (floats,
     /// non-finite numbers and negatives are mistyped, not truncated),
-    /// strings are capped at [`Command::MAX_WIRE_STRING`] bytes and the
-    /// `project` column list at [`Command::MAX_WIRE_COLUMNS`] entries, so
-    /// a hostile body cannot make the engine chase absurd allocations.
+    /// strings are capped at 4 096 bytes and the `project` column list
+    /// at 1 024 entries, so a hostile body cannot make the engine chase
+    /// absurd allocations.
     ///
     /// # Errors
     /// Returns [`BlaeuError::Invalid`] for unknown or malformed commands;
@@ -268,12 +263,6 @@ impl Command {
             "sql" => Command::Sql,
             "breadcrumbs" => Command::Breadcrumbs,
             "depth" => Command::Depth,
-            "sketch" => {
-                let op = value.get("op").ok_or_else(|| {
-                    BlaeuError::Invalid("command \"sketch\" needs an \"op\" object".into())
-                })?;
-                Command::Sketch(SketchOp::from_json(op)?)
-            }
             other => return Err(BlaeuError::Invalid(format!("unknown command {other:?}"))),
         })
     }
@@ -309,9 +298,6 @@ pub enum Response {
     Breadcrumbs(Vec<String>),
     /// History depth after the action.
     Depth(usize),
-    /// A sketch op's result (boxed: assignment labels and dependency
-    /// matrices are large).
-    Sketch(Box<SketchResult>),
 }
 
 impl Response {
@@ -394,19 +380,6 @@ impl Response {
                 json!({"response": "breadcrumbs", "breadcrumbs": crumbs.clone()})
             }
             Response::Depth(depth) => json!({"response": "depth", "depth": *depth}),
-            Response::Sketch(result) => {
-                // A compact client-facing summary; the digest covers the
-                // full result.
-                let summary = match result.as_ref() {
-                    SketchResult::Dep(dm) => json!({"kind": "dep", "columns": dm.len()}),
-                    SketchResult::Describe(s) => json!({"kind": "describe", "count": s.count()}),
-                    SketchResult::Histogram(h) => json!({"kind": "histogram", "total": h.total()}),
-                    SketchResult::Assign { labels, .. } => {
-                        json!({"kind": "assign", "rows": labels.len()})
-                    }
-                };
-                json!({"response": "sketch", "sketch": summary})
-            }
         })
     }
 }
@@ -440,21 +413,6 @@ mod tests {
             Command::Sql,
             Command::Breadcrumbs,
             Command::Depth,
-            Command::Sketch(SketchOp::DepMatrix {
-                columns: vec!["a".into(), "b".into()],
-            }),
-            Command::Sketch(SketchOp::Describe {
-                column: "c".into(),
-                top_k: 5,
-            }),
-            Command::Sketch(SketchOp::Histogram {
-                column: "c".into(),
-                bins: 8,
-            }),
-            Command::Sketch(SketchOp::ClaraAssign {
-                columns: vec!["a".into()],
-                medoids: vec![0, 9],
-            }),
         ]
     }
 
@@ -534,9 +492,6 @@ mod tests {
             json!("depth"),
             json!(null),
             json!({"cmd": "scatter", "x": "a", "y": "b", "bins": -1i64}),
-            json!({"cmd": "sketch"}),
-            json!({"cmd": "sketch", "op": json!({"op": "warp"})}),
-            json!({"cmd": "sketch", "op": json!({"op": "describe", "column": "c"})}),
         ] {
             assert!(
                 matches!(Command::from_json(&bad), Err(BlaeuError::Invalid(_))),

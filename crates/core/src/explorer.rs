@@ -14,6 +14,7 @@
 //! Every state carries the implicit Select-Project query the user has
 //! built so far; [`Explorer::sql`] renders it.
 
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use blaeu_stats::{describe, histogram, ColumnSummary, Histogram};
@@ -334,12 +335,20 @@ impl Explorer {
     /// theme): same rows, new map.
     ///
     /// # Errors
-    /// Propagates mapping failures; unknown columns error out.
+    /// Propagates mapping failures; unknown columns error out. A column
+    /// named twice is [`BlaeuError::Invalid`] before any work: every
+    /// repeat adds its dims to the preprocessed sample and the CART scan.
     pub fn project(&mut self, columns: &[&str]) -> Result<&DataMap> {
         if columns.is_empty() {
             return Err(BlaeuError::Invalid(
                 "projection needs at least one column".to_owned(),
             ));
+        }
+        let mut seen = HashSet::with_capacity(columns.len());
+        if let Some(repeat) = columns.iter().find(|&&c| !seen.insert(c)) {
+            return Err(BlaeuError::Invalid(format!(
+                "column {repeat:?} appears more than once"
+            )));
         }
         let view = self.current().view.clone();
         let map = self.map_for(&view, columns)?;
@@ -698,7 +707,6 @@ impl Explorer {
             Command::Sql => Ok(Response::Sql(self.sql())),
             Command::Breadcrumbs => Ok(Response::Breadcrumbs(self.breadcrumbs().to_vec())),
             Command::Depth => Ok(Response::Depth(self.depth())),
-            Command::Sketch(op) => Ok(Response::Sketch(Box::new(op.run(&self.current().view)?))),
         }
     }
 }

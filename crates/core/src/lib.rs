@@ -48,7 +48,6 @@ pub mod preprocess;
 pub mod progressive;
 pub mod render;
 pub mod session;
-pub mod sketch;
 pub mod themes;
 
 pub use cache::{AnalysisMemo, MapKey, ThemesKey, ViewFingerprint};
@@ -66,5 +65,4 @@ pub use preprocess::{
 };
 pub use progressive::{ProgressiveMap, RefinementDelta};
 pub use session::{SessionId, SessionManager};
-pub use sketch::{SketchOp, SketchResult};
 pub use themes::{detect_themes, Theme, ThemeConfig, ThemeSet};

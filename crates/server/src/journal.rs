@@ -375,11 +375,12 @@ pub fn read_journal(path: &Path) -> std::io::Result<ReadJournal> {
     })
 }
 
-/// Copies the journal at `path`, byte for byte and synced, to
+/// Copies the journal at `path`, byte for byte, to
 /// `<path>.diverged-<record>` — done before recovery cuts the file back
-/// to the start of `record`, the first record it does not keep. An
-/// existing sidecar is never overwritten; a failed copy removes its
-/// partial sidecar.
+/// to the start of `record`, the first record it does not keep. The copy
+/// and its directory entry are synced, so a crash after the cut cannot
+/// lose both. An existing sidecar is never overwritten; a failed copy
+/// removes its partial sidecar.
 ///
 /// # Errors
 /// Propagates create, copy and sync failures, including an existing
@@ -392,7 +393,11 @@ pub(crate) fn set_aside(path: &Path, record: usize) -> std::io::Result<PathBuf> 
         .open(&sidecar)?;
     let copied = File::open(path)
         .and_then(|mut live| std::io::copy(&mut live, &mut out))
-        .and_then(|_| out.sync_all());
+        .and_then(|_| out.sync_all())
+        .and_then(|()| {
+            let dir = sidecar.parent().filter(|d| !d.as_os_str().is_empty());
+            File::open(dir.unwrap_or(Path::new(".")))?.sync_all()
+        });
     match copied {
         Ok(()) => Ok(sidecar),
         Err(e) => {

@@ -483,16 +483,6 @@ impl DecisionTree {
         &self.root
     }
 
-    /// Rebuilds this tree around a (typically pruned) root, keeping the
-    /// class count and feature list.
-    pub(crate) fn with_root(&self, root: Node) -> DecisionTree {
-        DecisionTree {
-            root,
-            nclasses: self.nclasses,
-            features: self.features.clone(),
-        }
-    }
-
     /// Feature columns used at fit time.
     pub fn features(&self) -> &[String] {
         &self.features

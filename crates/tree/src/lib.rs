@@ -32,12 +32,10 @@ pub mod cart;
 pub mod eval;
 pub mod impurity;
 pub mod node;
-pub mod prune;
 pub mod rules;
 
 pub use cart::{CartConfig, DecisionTree};
 pub use eval::accuracy;
 pub use impurity::Criterion;
 pub use node::{Node, SplitRule};
-pub use prune::{alpha_path, prune};
 pub use rules::{leaf_rules, LeafRule, PathConstraints};

@@ -61,8 +61,8 @@ pub mod prelude {
     };
     pub use blaeu_core::{
         build_map, detect_themes, render, BlaeuError, Command, DataMap, DependencyGraph, Explorer,
-        ExplorerConfig, Highlight, KChoice, MapperConfig, Region, Response, SessionManager,
-        SketchOp, SketchResult, Theme, ThemeConfig, ThemeSet,
+        ExplorerConfig, Highlight, KChoice, MapperConfig, Region, Response, SessionManager, Theme,
+        ThemeConfig, ThemeSet,
     };
     pub use blaeu_exec::{JobHandle, JobPool};
     pub use blaeu_net::{NetConfig, NetServer};
@@ -81,7 +81,7 @@ pub mod prelude {
         read_csv_str, Column, ColumnRead, CsvOptions, Predicate, SelectProject, Table,
         TableBuilder, TableView,
     };
-    pub use blaeu_tree::{alpha_path, leaf_rules, prune, CartConfig, DecisionTree};
+    pub use blaeu_tree::{leaf_rules, CartConfig, DecisionTree};
 }
 
 #[cfg(test)]

@@ -400,20 +400,35 @@ const V1_SKETCH_JOURNAL: &[u8] = include_bytes!("fixtures/journal_v1_sketch.jnl"
 /// The session id the fixture's records carry.
 const V1_SKETCH_SESSION: u64 = 0;
 
+/// `sketch` is retired, so its record (index 3) is refused: the whole
+/// file goes to a sidecar, the live journal keeps `open`, `themes` and
+/// `select_theme`, and the session answers from there.
 #[test]
-fn committed_v1_journal_with_a_sketch_record_recovers() {
+fn committed_v1_sketch_record_is_set_aside_as_refused() {
     let table = shared_table();
     let dir = scratch("v1-sketch");
     let path = dir.join(format!("session-{V1_SKETCH_SESSION}.jnl"));
     std::fs::write(&path, V1_SKETCH_JOURNAL).unwrap();
+    let kept = blaeu::server::read_journal(&path).unwrap().record_ends;
+    assert_eq!(kept.len(), 3, "open, themes and select_theme decode");
 
     let engine = journaled_engine(&dir, 0);
     let tables = HashMap::from([("hollywood".to_owned(), Arc::clone(&table))]);
     let report = engine.recover(&tables).unwrap();
-    assert!(report.errors.is_empty(), "{:?}", report.errors);
+    let sidecar = dir.join(format!("session-{V1_SKETCH_SESSION}.jnl.diverged-3"));
+    assert!(
+        matches!(
+            report.errors.as_slice(),
+            [blaeu::server::RecoveryError::Refused { session: V1_SKETCH_SESSION, record: 3, sidecar: named, .. }]
+                if named == &sidecar
+        ),
+        "{:?}",
+        report.errors
+    );
+    assert_eq!(std::fs::read(&sidecar).unwrap(), V1_SKETCH_JOURNAL);
+    assert_eq!(std::fs::metadata(&path).unwrap().len(), kept[2]);
     assert_eq!(report.sessions, vec![V1_SKETCH_SESSION]);
-    assert_eq!(report.replayed, 4);
-    assert_eq!(std::fs::read(&path).unwrap(), V1_SKETCH_JOURNAL);
+    assert_eq!(report.replayed, 2);
     assert!(matches!(
         engine.request(V1_SKETCH_SESSION, Command::Sql),
         Ok(Response::Sql(_))

@@ -550,65 +550,55 @@ fn error_statuses_are_mapped_and_keep_alive_survives() {
     net.shutdown();
 }
 
-/// A histogram sketch asking for more bins than the engine allows is a
-/// typed 422 `invalid`, not an allocation that aborts the process: the
-/// server keeps answering, on the same connection and on a new one.
+/// `sketch` is not a command: a request for one falls into the unknown
+/// command arm, a typed 400 `bad_request`, and the server keeps
+/// answering.
 #[test]
-fn oversized_histogram_sketch_is_422_and_the_server_survives() {
+fn sketch_command_is_400_and_the_server_survives() {
     let table = shared_table();
     let net = serve(&table, 2, 0, NetConfig::default());
     let mut client = WireClient::connect(net.local_addr());
     let opened = client.request("POST", "/sessions", Some(r#"{"table": "hollywood"}"#));
     let session = opened.json()["session"].as_u64().unwrap();
-    let commands = format!("/sessions/{session}/commands");
-    for bins in [SketchOp::MAX_HISTOGRAM_BINS + 1, 1 << 40] {
-        let body = format!(
-            r#"{{"cmd": "sketch", "op": {{"op": "histogram", "column": "budget_musd", "bins": {bins}}}}}"#
-        );
-        let refused = client.request("POST", &commands, Some(&body));
-        assert_eq!(refused.status, 422, "{}", refused.body);
-        assert_eq!(refused.json()["error"]["code"].as_str(), Some("invalid"));
-    }
-    let body = format!(
-        r#"{{"cmd": "sketch", "op": {{"op": "histogram", "column": "budget_musd", "bins": {}}}}}"#,
-        SketchOp::MAX_HISTOGRAM_BINS
+    let body =
+        r#"{"cmd": "sketch", "op": {"op": "describe", "column": "budget_musd", "top_k": 5}}"#;
+    let refused = client.request("POST", &format!("/sessions/{session}/commands"), Some(body));
+    assert_eq!(refused.status, 400, "{}", refused.body);
+    assert_eq!(
+        refused.json()["error"]["code"].as_str(),
+        Some("bad_request")
     );
-    let at_limit = client.request("POST", &commands, Some(&body));
-    assert_eq!(at_limit.status, 200, "{}", at_limit.body);
     let mut next = WireClient::connect(net.local_addr());
     assert_eq!(next.request("GET", "/healthz", None).status, 200);
     net.shutdown();
 }
 
-/// A sketch column list that names a column twice is a typed 422
-/// `invalid` before any work starts: repeats would multiply the
-/// preprocessed matrix and the pairwise sweep. The same lists without
-/// the repeat still answer.
+/// A `project` column list that names a column twice is a typed 422
+/// `invalid` before any work starts: every repeat multiplies the
+/// preprocessed sample and the CART scan. The same list without the
+/// repeat still answers.
 #[test]
-fn repeated_sketch_columns_are_422_and_the_server_survives() {
+fn repeated_project_columns_are_422_and_the_server_survives() {
     let table = shared_table();
     let net = serve(&table, 2, 0, NetConfig::default());
     let mut client = WireClient::connect(net.local_addr());
     let opened = client.request("POST", "/sessions", Some(r#"{"table": "hollywood"}"#));
     let session = opened.json()["session"].as_u64().unwrap();
     let commands = format!("/sessions/{session}/commands");
-    let op = |columns: &str| {
-        [
-            format!(r#"{{"cmd": "sketch", "op": {{"op": "dep_matrix", "columns": [{columns}]}}}}"#),
-            format!(
-                r#"{{"cmd": "sketch", "op": {{"op": "clara_assign", "columns": [{columns}], "medoids": [0, 7]}}}}"#
-            ),
-        ]
-    };
-    for body in op(r#""genre", "budget_musd", "genre""#) {
-        let refused = client.request("POST", &commands, Some(&body));
-        assert_eq!(refused.status, 422, "{}", refused.body);
-        assert_eq!(refused.json()["error"]["code"].as_str(), Some("invalid"));
-    }
-    for body in op(r#""genre", "budget_musd""#) {
-        let answered = client.request("POST", &commands, Some(&body));
-        assert_eq!(answered.status, 200, "{}", answered.body);
-    }
+    let project = |columns: &str| format!(r#"{{"cmd": "project", "columns": [{columns}]}}"#);
+    let refused = client.request(
+        "POST",
+        &commands,
+        Some(&project(r#""genre", "budget_musd", "genre""#)),
+    );
+    assert_eq!(refused.status, 422, "{}", refused.body);
+    assert_eq!(refused.json()["error"]["code"].as_str(), Some("invalid"));
+    let answered = client.request(
+        "POST",
+        &commands,
+        Some(&project(r#""genre", "budget_musd""#)),
+    );
+    assert_eq!(answered.status, 200, "{}", answered.body);
     let mut next = WireClient::connect(net.local_addr());
     assert_eq!(next.request("GET", "/healthz", None).status, 200);
     net.shutdown();
