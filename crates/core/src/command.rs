@@ -14,7 +14,8 @@
 //! response streams are identical across thread budgets" and "a cache
 //! hit is identical to a miss".
 
-use std::sync::Arc;
+use std::fmt::{self, Write as _};
+use std::sync::{Arc, OnceLock};
 
 use serde_json::{json, Value};
 
@@ -300,29 +301,106 @@ pub enum Response {
     Depth(usize),
 }
 
+/// FNV-1a as a [`fmt::Write`] sink: `Debug` text is folded into the
+/// hash as it is produced, with no materialized string, even for
+/// multi-megabyte map payloads.
+pub(crate) struct Fnv(u64);
+
+impl fmt::Write for Fnv {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        for byte in s.bytes() {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        Ok(())
+    }
+}
+
+/// What a shared payload ([`DataMap`], [`ThemeSet`]) remembers of its
+/// own digest: pairs "FNV state before its `Debug` text → state after".
+///
+/// FNV-1a is a pure function of (state, bytes), and each response
+/// variant that embeds the payload renders a fixed prefix before it, so
+/// the state the payload starts from is a constant per variant and the
+/// pair can stand in for re-rendering every leaf membership. Two slots
+/// cover the most variants that embed one payload type (`Map` and
+/// `MapDelta`). Entries are filled by the first digest that needs them,
+/// never eagerly; a clone starts empty, so a memo only ever describes
+/// the value it was filled from — which is why nothing may mutate a
+/// payload once it has been digested.
+#[derive(Default)]
+pub(crate) struct DigestMemo([OnceLock<(u64, u64)>; 2]);
+
+impl DigestMemo {
+    /// Folds `payload`'s `Debug` text into `fnv`, from the memo when an
+    /// entry starts at `fnv`'s state, else by rendering it and recording
+    /// the entry in a free slot (a racing digest of the same payload
+    /// records the same pair, so losing the race is harmless).
+    fn fold(&self, fnv: &mut Fnv, payload: &dyn fmt::Debug) -> fmt::Result {
+        let start = fnv.0;
+        let mut known = self.0.iter().filter_map(OnceLock::get);
+        if let Some(&(_, end)) = known.find(|(from, _)| *from == start) {
+            fnv.0 = end;
+            return Ok(());
+        }
+        write!(fnv, "{payload:?}")?;
+        for slot in &self.0 {
+            if slot.set((start, fnv.0)).is_ok() || slot.get().is_some_and(|e| e.0 == start) {
+                break;
+            }
+        }
+        Ok(())
+    }
+}
+
+impl Clone for DigestMemo {
+    fn clone(&self) -> Self {
+        DigestMemo::default()
+    }
+}
+
 impl Response {
     /// 64-bit FNV-1a digest of the full response content, with floats
     /// compared bit-exactly: `Debug` renders `f64` as its shortest
     /// round-trip decimal, so two responses digest equally iff every
     /// field — including every float — is identical. This is the anchor
     /// for the cache-purity and cross-thread-budget determinism tests.
+    ///
+    /// The value is always FNV-1a over `format!("{self:?}")`. The part
+    /// contributed by a shared map or theme set is memoised in that
+    /// `Arc`'s payload, so a cache hit, a repeated `themes` or a second
+    /// digest of the same response (journal, then wire) costs a lookup
+    /// instead of re-rendering every leaf membership; the values do not
+    /// change.
     pub fn digest(&self) -> u64 {
-        use std::fmt::Write as _;
-        // Fold the Debug rendering into the hash as it is produced —
-        // no materialized string, even for multi-megabyte map payloads.
-        struct Fnv(u64);
-        impl std::fmt::Write for Fnv {
-            fn write_str(&mut self, s: &str) -> std::fmt::Result {
-                for byte in s.bytes() {
-                    self.0 ^= u64::from(byte);
-                    self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-                }
-                Ok(())
-            }
-        }
         let mut fnv = Fnv(0xcbf2_9ce4_8422_2325);
-        write!(fnv, "{self:?}").expect("hashing writer never fails");
+        self.fold_debug(&mut fnv)
+            .expect("hashing writer never fails");
         fnv.0
+    }
+
+    /// Writes `format!("{self:?}")` into `fnv`, taking a shared
+    /// payload's part from its memo. The prefixes and suffixes are the
+    /// derived `Debug` text around each variant's payload.
+    fn fold_debug(&self, fnv: &mut Fnv) -> fmt::Result {
+        match self {
+            Response::Map(map) => {
+                fnv.write_str("Map(")?;
+                map.digest_memo.fold(fnv, map)?;
+                fnv.write_str(")")
+            }
+            Response::MapDelta { map, delta } => {
+                fnv.write_str("MapDelta { map: ")?;
+                map.digest_memo.fold(fnv, map)?;
+                write!(fnv, ", delta: {delta:?} }}")
+            }
+            Response::Themes(themes) => {
+                fnv.write_str("Themes(")?;
+                themes.digest_memo.fold(fnv, themes)?;
+                fnv.write_str(")")
+            }
+            _ => write!(fnv, "{self:?}"),
+        }
     }
 
     /// Serializes the response to the JSON a web client would render
@@ -546,6 +624,118 @@ mod tests {
             Command::from_json_str(&deep),
             Err(BlaeuError::Invalid(_))
         ));
+    }
+
+    /// FNV-1a over the materialised `Debug` text: what `digest` must
+    /// equal, memo or not.
+    fn oracle(response: &Response) -> u64 {
+        format!("{response:?}")
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+    }
+
+    fn is_empty(memo: &DigestMemo) -> bool {
+        memo.0.iter().all(|slot| slot.get().is_none())
+    }
+
+    fn filled(memo: &DigestMemo) -> usize {
+        memo.0.iter().filter(|slot| slot.get().is_some()).count()
+    }
+
+    fn toy_table() -> blaeu_store::Table {
+        use blaeu_store::{Column, TableBuilder};
+        let x: Vec<f64> = (0..80)
+            .map(|i| f64::from(i % 40) + 50.0 * f64::from(i / 40))
+            .collect();
+        let y: Vec<f64> = x.iter().map(|v| v * 0.5 + 1.0).collect();
+        let z: Vec<f64> = (0..80).map(|i| f64::from((i * 7) % 13)).collect();
+        TableBuilder::new("t")
+            .column("x", Column::dense_f64(x))
+            .unwrap()
+            .column("y", Column::dense_f64(y))
+            .unwrap()
+            .column("z", Column::dense_f64(z))
+            .unwrap()
+            .build()
+            .unwrap()
+    }
+
+    fn fresh_map() -> Arc<DataMap> {
+        let view = toy_table().into();
+        let config = crate::mapper::MapperConfig::default();
+        Arc::new(crate::mapper::build_map(&view, &["x", "y"], &config).unwrap())
+    }
+
+    fn delta_over(map: &Arc<DataMap>) -> Response {
+        Response::MapDelta {
+            map: Arc::clone(map),
+            delta: crate::progressive::RefinementDelta {
+                level: 0,
+                levels: 1,
+                sample_size: map.sample_size,
+                final_level: true,
+                changed_regions: map.changed_region_ids(None),
+                n_regions: map.n_regions(),
+                map_digest: 7,
+            },
+        }
+    }
+
+    #[test]
+    fn clones_of_digested_payloads_start_with_an_empty_memo() {
+        let map = fresh_map();
+        let digest = Response::Map(Arc::clone(&map)).digest();
+        assert_eq!(filled(&map.digest_memo), 1);
+        let copy = Arc::new(DataMap::clone(&map));
+        assert!(is_empty(&copy.digest_memo));
+        assert_eq!(Response::Map(copy).digest(), digest);
+
+        let view = toy_table().into();
+        let themes = Arc::new(
+            crate::themes::detect_themes(&view, &crate::themes::ThemeConfig::default()).unwrap(),
+        );
+        let digest = Response::Themes(Arc::clone(&themes)).digest();
+        assert_eq!(filled(&themes.digest_memo), 1);
+        let copy = Arc::new(ThemeSet::clone(&themes));
+        assert!(is_empty(&copy.digest_memo));
+        let response = Response::Themes(copy);
+        assert_eq!(response.digest(), digest);
+        assert_eq!(digest, oracle(&response));
+    }
+
+    #[test]
+    fn map_and_delta_fill_their_own_entries_in_either_order() {
+        for map_first in [true, false] {
+            let map = fresh_map();
+            let plain = Response::Map(Arc::clone(&map));
+            let delta = delta_over(&map);
+            let order = if map_first {
+                [&plain, &delta]
+            } else {
+                [&delta, &plain]
+            };
+            for (calls, response) in order.into_iter().enumerate() {
+                assert_eq!(response.digest(), oracle(response), "first call");
+                assert_eq!(filled(&map.digest_memo), calls + 1);
+            }
+            for response in order {
+                assert_eq!(response.digest(), oracle(response), "memoised call");
+            }
+            assert_eq!(filled(&map.digest_memo), 2);
+            assert_ne!(plain.digest(), delta.digest());
+        }
+    }
+
+    #[test]
+    fn concurrent_first_digests_of_one_payload_agree() {
+        let map = fresh_map();
+        let digests =
+            blaeu_exec::par_map(&[0, 1], 2, |_, _| Response::Map(Arc::clone(&map)).digest());
+        let expected = oracle(&Response::Map(Arc::clone(&map)));
+        assert_eq!(digests, vec![expected; 2]);
+        assert_eq!(filled(&map.digest_memo), 1);
     }
 
     #[test]

@@ -6,9 +6,12 @@
 //! (leaf area in the paper's figures), and usable as the target of the
 //! zoom / highlight actions.
 
+use std::fmt;
+
 use blaeu_store::Predicate;
 use blaeu_tree::DecisionTree;
 
+use crate::command::DigestMemo;
 use crate::error::{BlaeuError, Result};
 
 /// One region of a data map.
@@ -47,7 +50,14 @@ impl Region {
 }
 
 /// A complete data map over an active selection.
-#[derive(Debug, Clone)]
+///
+/// A map is built once and then shared as an `Arc`; it is never
+/// mutated after its first [`Response::digest`](crate::Response::digest),
+/// which memoises the digest of the map's `Debug` text inside the map.
+/// Nothing takes `&mut DataMap` and nothing reaches into a shared one
+/// (`Arc::get_mut`, `Arc::make_mut`); keep it so. A clone starts with
+/// an empty memo.
+#[derive(Clone)]
 pub struct DataMap {
     /// Columns the map was computed on (the active theme).
     pub columns: Vec<String>,
@@ -77,6 +87,29 @@ pub struct DataMap {
     leaf_rows: Vec<Vec<u32>>,
     /// The underlying decision tree.
     tree: DecisionTree,
+    /// The digest of this map's `Debug` text, filled by the first
+    /// digest of a response that carries it.
+    pub(crate) digest_memo: DigestMemo,
+}
+
+// By hand only to leave the memo out: the text is the derived one, which
+// digests, `changed_region_ids` and cache keys read.
+impl fmt::Debug for DataMap {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("DataMap")
+            .field("columns", &self.columns)
+            .field("k", &self.k)
+            .field("silhouette", &self.silhouette)
+            .field("sample_size", &self.sample_size)
+            .field("view_rows", &self.view_rows)
+            .field("assigned_rows", &self.assigned_rows)
+            .field("tree_fidelity", &self.tree_fidelity)
+            .field("medoid_rows", &self.medoid_rows)
+            .field("regions", &self.regions)
+            .field("leaf_rows", &self.leaf_rows)
+            .field("tree", &self.tree)
+            .finish()
+    }
 }
 
 impl DataMap {
@@ -113,6 +146,7 @@ impl DataMap {
             regions,
             leaf_rows,
             tree,
+            digest_memo: DigestMemo::default(),
         }
     }
 

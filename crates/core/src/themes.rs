@@ -6,11 +6,14 @@
 //! number of themes is chosen by the silhouette coefficient; each theme is
 //! named after its medoid column and scored by its internal cohesion.
 
+use std::fmt;
+
 use blaeu_stats::DependencyOptions;
 use blaeu_store::TableView;
 
 use blaeu_cluster::{pam, silhouette_score, DistanceMatrix, PamConfig};
 
+use crate::command::DigestMemo;
 use crate::depgraph::DependencyGraph;
 use crate::error::{BlaeuError, Result};
 use crate::preprocess::{analyzable_columns, PreprocessConfig};
@@ -66,7 +69,15 @@ impl Default for ThemeConfig {
 }
 
 /// Result of theme detection.
-#[derive(Debug, Clone)]
+///
+/// A theme set is detected once and then shared as an `Arc`; it is
+/// never mutated after its first
+/// [`Response::digest`](crate::Response::digest), which memoises the
+/// digest of the set's `Debug` text inside it. Nothing takes
+/// `&mut ThemeSet` and nothing reaches into a shared one
+/// (`Arc::get_mut`, `Arc::make_mut`); keep it so. A clone starts with
+/// an empty memo.
+#[derive(Clone)]
 pub struct ThemeSet {
     /// Detected themes, most cohesive first.
     pub themes: Vec<Theme>,
@@ -74,6 +85,20 @@ pub struct ThemeSet {
     pub silhouette: f64,
     /// The dependency graph the themes were cut from.
     pub graph: DependencyGraph,
+    /// The digest of this set's `Debug` text, filled by the first
+    /// digest of a `themes` response.
+    pub(crate) digest_memo: DigestMemo,
+}
+
+// By hand only to leave the memo out: the text is the derived one.
+impl fmt::Debug for ThemeSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ThemeSet")
+            .field("themes", &self.themes)
+            .field("silhouette", &self.silhouette)
+            .field("graph", &self.graph)
+            .finish()
+    }
 }
 
 impl ThemeSet {
@@ -217,6 +242,7 @@ fn detect_themes_on(view: &TableView, columns: &[&str], config: &ThemeConfig) ->
         themes,
         silhouette,
         graph,
+        digest_memo: DigestMemo::default(),
     })
 }
 

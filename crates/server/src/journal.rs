@@ -375,22 +375,51 @@ pub fn read_journal(path: &Path) -> std::io::Result<ReadJournal> {
     })
 }
 
-/// Copies the journal at `path`, byte for byte, to
-/// `<path>.diverged-<record>` — done before recovery cuts the file back
-/// to the start of `record`, the first record it does not keep. The copy
-/// and its directory entry are synced, so a crash after the cut cannot
-/// lose both. An existing sidecar is never overwritten; a failed copy
-/// removes its partial sidecar.
+/// How many sidecars one journal can set aside at the same record: the
+/// first is `<path>.diverged-<record>`, the later ones append `.1`,
+/// `.2`, … — a second build change can diverge the same early record
+/// again after the first cut.
+pub const SET_ASIDE_NAMES: usize = 8;
+
+/// Copies the journal at `path`, byte for byte, to the first free name
+/// of `<path>.diverged-<record>`, `<path>.diverged-<record>.1`, … —
+/// done before recovery cuts the file back to the start of `record`,
+/// the first record it does not keep. The copy and its directory entry
+/// are synced, so a crash after the cut cannot lose both. An existing
+/// sidecar is never overwritten; a failed copy removes its partial
+/// sidecar.
 ///
 /// # Errors
-/// Propagates create, copy and sync failures, including an existing
-/// sidecar of the same name.
+/// Propagates create, copy and sync failures, and fails with
+/// `AlreadyExists` when all [`SET_ASIDE_NAMES`] names are taken.
 pub(crate) fn set_aside(path: &Path, record: usize) -> std::io::Result<PathBuf> {
-    let sidecar = path.with_extension(format!("jnl.diverged-{record}"));
-    let mut out = OpenOptions::new()
-        .write(true)
-        .create_new(true)
-        .open(&sidecar)?;
+    let mut free = None;
+    for n in 0..SET_ASIDE_NAMES {
+        let suffix = if n == 0 {
+            String::new()
+        } else {
+            format!(".{n}")
+        };
+        let sidecar = path.with_extension(format!("jnl.diverged-{record}{suffix}"));
+        match OpenOptions::new()
+            .write(true)
+            .create_new(true)
+            .open(&sidecar)
+        {
+            Ok(out) => {
+                free = Some((sidecar, out));
+                break;
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {}
+            Err(e) => return Err(e),
+        }
+    }
+    let Some((sidecar, mut out)) = free else {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::AlreadyExists,
+            format!("all {SET_ASIDE_NAMES} sidecar names for record {record} are taken"),
+        ));
+    };
     let copied = File::open(path)
         .and_then(|mut live| std::io::copy(&mut live, &mut out))
         .and_then(|_| out.sync_all())

@@ -755,8 +755,9 @@ impl AsyncSessionServer {
     /// state). A record whose frame verifies but whose payload is
     /// refused, or whose replay diverges from its recorded outcome, was
     /// acknowledged: the whole file is first copied to
-    /// `*.jnl.diverged-<k>` (`k` = the first record not kept), and only
-    /// then cut back. A file whose head is unreadable is set aside as
+    /// `*.jnl.diverged-<k>` (`k` = the first record not kept; `.1`,
+    /// `.2`, … appended when that name is taken), and only then cut
+    /// back. A file whose head is unreadable is set aside as
     /// `*.jnl.corrupt`; a cleanly closed journal is removed. All of it
     /// is reported in the [`RecoveryReport`].
     ///
@@ -978,7 +979,8 @@ pub enum RecoveryError {
         record: usize,
         /// Why the payload was refused.
         detail: String,
-        /// The `*.jnl.diverged-<record>` copy of the pre-recovery file.
+        /// The `*.jnl.diverged-<record>[.<n>]` copy of the pre-recovery
+        /// file.
         sidecar: PathBuf,
     },
     /// A replayed command's outcome did not match the recorded one —
@@ -994,7 +996,8 @@ pub enum RecoveryError {
         expected: RecordedOutcome,
         /// What replay produced instead.
         detail: String,
-        /// The `*.jnl.diverged-<record>` copy of the pre-recovery file.
+        /// The `*.jnl.diverged-<record>[.<n>]` copy of the pre-recovery
+        /// file.
         sidecar: PathBuf,
     },
     /// The journal names a table that is not registered.

@@ -468,6 +468,35 @@ fn recorded_journal(dir: &Path, table: &Arc<Table>) -> (u64, PathBuf, Vec<u64>) 
     (id, path, read.record_ends)
 }
 
+/// `bytes` with record `k` re-framed around a wrong recorded digest.
+fn with_wrong_digest(bytes: &[u8], ends: &[u64], k: usize) -> Vec<u8> {
+    let (start, end) = (ends[k - 1] as usize, ends[k] as usize);
+    let payload = std::str::from_utf8(&bytes[start + 29..end - 1]).unwrap();
+    let record: Value = serde_json::from_str(payload).unwrap();
+    let digest = record["digest"].as_str().unwrap();
+    let wrong = format!("{:016x}", !u64::from_str_radix(digest, 16).unwrap());
+    let reframed = frame(&payload.replace(digest, &wrong));
+    [&bytes[..start], &reframed, &bytes[end..]].concat()
+}
+
+/// Occupies every sidecar name a set-aside of record `k` of session
+/// `id` could take, each with bytes of its own; returns them.
+fn occupy_sidecars(dir: &Path, id: u64, k: usize) -> Vec<(PathBuf, Vec<u8>)> {
+    (0..blaeu::server::journal::SET_ASIDE_NAMES)
+        .map(|n| {
+            let suffix = if n == 0 {
+                String::new()
+            } else {
+                format!(".{n}")
+            };
+            let sidecar = dir.join(format!("session-{id}.jnl.diverged-{k}{suffix}"));
+            let bytes = format!("an earlier sidecar {n}").into_bytes();
+            std::fs::write(&sidecar, &bytes).unwrap();
+            (sidecar, bytes)
+        })
+        .collect()
+}
+
 /// A well-framed record this build refuses, between intact records, is
 /// set aside with the whole file before the cut: the sidecar holds every
 /// pre-recovery byte (the intact record after it included), and the
@@ -519,14 +548,7 @@ fn diverged_digest_is_set_aside_before_the_cut() {
     let table = shared_table();
     let dir = scratch("diverged");
     let (id, path, ends) = recorded_journal(&dir, &table);
-    let bytes = std::fs::read(&path).unwrap();
-    let (start, end) = (ends[1] as usize, ends[2] as usize);
-    let payload = std::str::from_utf8(&bytes[start + 29..end - 1]).unwrap();
-    let record: Value = serde_json::from_str(payload).unwrap();
-    let digest = record["digest"].as_str().unwrap();
-    let wrong = format!("{:016x}", !u64::from_str_radix(digest, 16).unwrap());
-    let reframed = frame(&payload.replace(digest, &wrong));
-    let probe = [&bytes[..start], &reframed, &bytes[end..]].concat();
+    let probe = with_wrong_digest(&std::fs::read(&path).unwrap(), &ends, 2);
     std::fs::write(&path, &probe).unwrap();
 
     let second = journaled_engine(&dir, 0);
@@ -554,7 +576,8 @@ fn diverged_digest_is_set_aside_before_the_cut() {
 }
 
 /// An existing sidecar is never overwritten. When the copy cannot be
-/// made, the journal stays whole and the session is not restored.
+/// made (here: every sidecar name is taken), the journal stays whole and
+/// the session is not restored.
 #[test]
 fn failed_set_aside_leaves_the_journal_whole() {
     let table = shared_table();
@@ -563,8 +586,7 @@ fn failed_set_aside_leaves_the_journal_whole() {
     let bytes = std::fs::read(&path).unwrap();
     let probe = [&bytes[..], &unknown_command(id)].concat();
     std::fs::write(&path, &probe).unwrap();
-    let sidecar = dir.join(format!("session-{id}.jnl.diverged-{}", ends.len()));
-    std::fs::write(&sidecar, b"an earlier sidecar").unwrap();
+    let earlier = occupy_sidecars(&dir, id, ends.len());
 
     let second = journaled_engine(&dir, 0);
     let tables = HashMap::from([("hollywood".to_owned(), Arc::clone(&table))]);
@@ -580,7 +602,98 @@ fn failed_set_aside_leaves_the_journal_whole() {
     assert!(report.sessions.is_empty());
     assert!(second.ids().is_empty());
     assert_eq!(std::fs::read(&path).unwrap(), probe);
-    assert_eq!(std::fs::read(&sidecar).unwrap(), b"an earlier sidecar");
+    for (sidecar, bytes) in &earlier {
+        assert_eq!(&std::fs::read(sidecar).unwrap(), bytes);
+    }
     drop(second);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The `DigestMismatch` twin of the test above: replay has already run
+/// the session up to the diverging record when the copy fails, so the
+/// half-replayed session is closed, the journal stays whole and `Io`
+/// is reported.
+#[test]
+fn failed_set_aside_of_a_diverged_record_leaves_the_journal_whole() {
+    let table = shared_table();
+    let dir = scratch("diverged-set-aside-fails");
+    let (id, path, ends) = recorded_journal(&dir, &table);
+    let probe = with_wrong_digest(&std::fs::read(&path).unwrap(), &ends, 2);
+    std::fs::write(&path, &probe).unwrap();
+    let earlier = occupy_sidecars(&dir, id, 2);
+
+    let second = journaled_engine(&dir, 0);
+    let tables = HashMap::from([("hollywood".to_owned(), Arc::clone(&table))]);
+    let report = second.recover(&tables).unwrap();
+    assert!(
+        matches!(
+            report.errors.as_slice(),
+            [blaeu::server::RecoveryError::Io { session, .. }] if *session == id
+        ),
+        "{:?}",
+        report.errors
+    );
+    assert!(report.sessions.is_empty());
+    assert!(second.ids().is_empty());
+    assert_eq!(std::fs::read(&path).unwrap(), probe);
+    for (sidecar, bytes) in &earlier {
+        assert_eq!(&std::fs::read(sidecar).unwrap(), bytes);
+    }
+    let files = std::fs::read_dir(&dir).unwrap().count();
+    assert_eq!(
+        files,
+        1 + earlier.len(),
+        "no sidecar beyond the occupied names"
+    );
+    drop(second);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A second build change that diverges the same record after the first
+/// cut: each recovery sets the journal aside under a name of its own
+/// (`diverged-1`, then `diverged-1.1`) and restores the session, and a
+/// later clean recovery reads neither sidecar back.
+#[test]
+fn second_set_aside_at_one_record_takes_the_next_name() {
+    let table = shared_table();
+    let dir = scratch("set-aside-twice");
+    let tables = HashMap::from([("hollywood".to_owned(), Arc::clone(&table))]);
+    let (id, path, mut ends) = recorded_journal(&dir, &table);
+    let mut sidecars = Vec::new();
+    for suffix in ["", ".1"] {
+        let probe = with_wrong_digest(&std::fs::read(&path).unwrap(), &ends, 1);
+        std::fs::write(&path, &probe).unwrap();
+        let engine = journaled_engine(&dir, 0);
+        let report = engine.recover(&tables).unwrap();
+        let sidecar = dir.join(format!("session-{id}.jnl.diverged-1{suffix}"));
+        assert!(
+            matches!(
+                report.errors.as_slice(),
+                [blaeu::server::RecoveryError::DigestMismatch { seq: 1, sidecar: named, .. }]
+                    if named == &sidecar
+            ),
+            "{:?}",
+            report.errors
+        );
+        assert_eq!(report.sessions, vec![id]);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), ends[0]);
+        sidecars.push((sidecar, probe));
+        // Journal `select_theme 0` and `sql` again for the next life to
+        // diverge.
+        for cmd in [Command::SelectTheme(0), Command::Sql] {
+            engine.request(id, cmd).unwrap();
+        }
+        drop(engine);
+        ends = blaeu::server::read_journal(&path).unwrap().record_ends;
+    }
+    let last = journaled_engine(&dir, 0);
+    let report = last.recover(&tables).unwrap();
+    assert!(report.errors.is_empty(), "{:?}", report.errors);
+    assert_eq!(report.sessions, vec![id]);
+    assert_eq!(report.replayed, 2);
+    for (sidecar, bytes) in &sidecars {
+        assert_eq!(&std::fs::read(sidecar).unwrap(), bytes);
+    }
+    drop(last);
     std::fs::remove_dir_all(&dir).unwrap();
 }
