@@ -304,7 +304,7 @@ pub enum Response {
 /// FNV-1a as a [`fmt::Write`] sink: `Debug` text is folded into the
 /// hash as it is produced, with no materialized string, even for
 /// multi-megabyte map payloads.
-pub(crate) struct Fnv(u64);
+struct Fnv(u64);
 
 impl fmt::Write for Fnv {
     fn write_str(&mut self, s: &str) -> fmt::Result {
@@ -636,10 +636,6 @@ mod tests {
             })
     }
 
-    fn is_empty(memo: &DigestMemo) -> bool {
-        memo.0.iter().all(|slot| slot.get().is_none())
-    }
-
     fn filled(memo: &DigestMemo) -> usize {
         memo.0.iter().filter(|slot| slot.get().is_some()).count()
     }
@@ -689,7 +685,7 @@ mod tests {
         let digest = Response::Map(Arc::clone(&map)).digest();
         assert_eq!(filled(&map.digest_memo), 1);
         let copy = Arc::new(DataMap::clone(&map));
-        assert!(is_empty(&copy.digest_memo));
+        assert_eq!(filled(&copy.digest_memo), 0);
         assert_eq!(Response::Map(copy).digest(), digest);
 
         let view = toy_table().into();
@@ -699,7 +695,7 @@ mod tests {
         let digest = Response::Themes(Arc::clone(&themes)).digest();
         assert_eq!(filled(&themes.digest_memo), 1);
         let copy = Arc::new(ThemeSet::clone(&themes));
-        assert!(is_empty(&copy.digest_memo));
+        assert_eq!(filled(&copy.digest_memo), 0);
         let response = Response::Themes(copy);
         assert_eq!(response.digest(), digest);
         assert_eq!(digest, oracle(&response));
@@ -731,8 +727,13 @@ mod tests {
     #[test]
     fn concurrent_first_digests_of_one_payload_agree() {
         let map = fresh_map();
-        let digests =
-            blaeu_exec::par_map(&[0, 1], 2, |_, _| Response::Map(Arc::clone(&map)).digest());
+        // Two items, two workers, one item each: the barrier holds both
+        // until each has claimed its item, so the first digests overlap.
+        let start = std::sync::Barrier::new(2);
+        let digests = blaeu_exec::par_map(&[0, 1], 2, |_, _| {
+            start.wait();
+            Response::Map(Arc::clone(&map)).digest()
+        });
         let expected = oracle(&Response::Map(Arc::clone(&map)));
         assert_eq!(digests, vec![expected; 2]);
         assert_eq!(filled(&map.digest_memo), 1);

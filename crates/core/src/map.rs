@@ -92,8 +92,8 @@ pub struct DataMap {
     pub(crate) digest_memo: DigestMemo,
 }
 
-// By hand only to leave the memo out: the text is the derived one, which
-// digests, `changed_region_ids` and cache keys read.
+// By hand only to leave the memo out: the text is the derived one, whose
+// digest journals persist.
 impl fmt::Debug for DataMap {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("DataMap")
